@@ -75,44 +75,24 @@ let pp_violation fmt v =
   Format.fprintf fmt "PE%d: %s violation at site @%d (%s) addr %d [%s]" v.v_pe
     v.v_kind v.v_site v.v_pred v.v_addr (Trace.Area.slug v.v_area)
 
-(* Diff one instruction pair into a site kind.  [None] = identical,
+(* Diff one instruction pair into a site kind: a site is the same base
+   instruction with a different spec.  [None] = identical,
    [Some (Error ())] = a diff the bind plan cannot produce. *)
 let site_of_pair (base : Wam.Instr.t) (bind : Wam.Instr.t) =
   if base = bind then None
+  else if Wam.Instr.spec base <> `Plain || Wam.Instr.plain bind <> base then
+    Some (Error ())
   else
     Some
-      (match (base, bind) with
-      | Wam.Instr.Get_structure (f, a), Wam.Instr.Get_structure_u (f', a')
-        when f = f' && a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_list a, Wam.Instr.Get_list_u a' when a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_constant (c, a), Wam.Instr.Get_constant_u (c', a')
-        when c = c' && a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_integer (n, a), Wam.Instr.Get_integer_u (n', a')
-        when n = n' && a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_nil a, Wam.Instr.Get_nil_u a' when a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_structure (f, a), Wam.Instr.Get_structure_r (f', a')
-        when f = f' && a = a' ->
-        Ok K_rigid_struct
-      | Wam.Instr.Get_list a, Wam.Instr.Get_list_r a' when a = a' ->
-        Ok K_rigid_list
-      | Wam.Instr.Get_value (r, a), Wam.Instr.Get_value_r (r', a')
-        when r = r' && a = a' ->
-        Ok K_rigid_value
-      | Wam.Instr.Get_value (r, a), Wam.Instr.Get_value_u (r', a')
-        when r = r' && a = a' ->
-        Ok K_value_nt
-      | Wam.Instr.Put_variable (r, a), Wam.Instr.Put_uninit (r', a')
-        when r = r' && a = a' ->
-        Ok K_put_uninit
-      | Wam.Instr.Builtin (b, n), Wam.Instr.Builtin_nt (b', n')
-        when b = b' && n = n' ->
-        Ok K_builtin_nt
-      | _ -> Error ())
+      (match (bind, Wam.Instr.spec bind) with
+      | Wam.Instr.Get_structure _, `Rigid -> Ok K_rigid_struct
+      | Wam.Instr.Get_list _, `Rigid -> Ok K_rigid_list
+      | Wam.Instr.Get_value _, `Rigid -> Ok K_rigid_value
+      | Wam.Instr.Get_value _, `Uncond -> Ok K_value_nt
+      | Wam.Instr.Put_variable _, `Uncond -> Ok K_put_uninit
+      | Wam.Instr.Builtin _, `Uncond -> Ok K_builtin_nt
+      | _, `Uncond -> Ok K_uninit_get
+      | _, (`Plain | `Rigid) -> Error ())
 
 type access = { w_op : Trace.Ref_record.op; w_addr : int; w_area : Trace.Area.t }
 

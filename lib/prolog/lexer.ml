@@ -138,8 +138,11 @@ let lex_one lx =
   match peek_char lx with
   | None -> Eof
   | Some c when is_digit c ->
+    let start = lx.pos in
     let digits = take_while lx is_digit in
-    Int (int_of_string digits)
+    (match int_of_string_opt digits with
+    | Some n -> Int n
+    | None -> raise (Error ("integer literal out of range", start)))
   | Some c when is_lower c ->
     let name = take_while lx is_alnum in
     if peek_char lx = Some '(' then begin

@@ -13,9 +13,12 @@
      - pre-fetch activity (query seeding, idle-PE stealing) has no
        current predicate and also lands in [runtime].
 
-   The collector additionally tracks, per address, which PEs touched
-   it — the dynamic shareability ground truth the predicted tags are
-   scored against. *)
+   The collector additionally tracks, per address incarnation, which
+   PEs touched it — the dynamic shareability ground truth the predicted
+   tags are scored against.  An address starts a new incarnation when
+   it is touched under a different area than before: a local-stack
+   word can be an environment word first and a parcall-frame word
+   later, and each incarnation is scored under its own area. *)
 
 type obs = { seen : int array (* bit 0 = read, bit 1 = write seen *) }
 
@@ -24,7 +27,10 @@ type t = {
   by_fid : (int, obs) Hashtbl.t;
   runtime : obs;
   addrs : (int, int * bool * int) Hashtbl.t;
-      (** addr -> (first PE, touched by a second PE, area index) *)
+      (** addr -> (first PE, touched by a second PE, area index) of the
+          address's current incarnation *)
+  mutable retired : (int * (int * bool * int)) list;
+      (** earlier incarnations, with their address *)
   mutable in_msg : bool array;  (** per PE: inside a message window *)
   mutable attrib : int option array;  (** per PE: current fid *)
   mutable records : int;
@@ -36,6 +42,7 @@ let create static =
     by_fid = Hashtbl.create 64;
     runtime = { seen = Array.make Trace.Area.count 0 };
     addrs = Hashtbl.create 4096;
+    retired = [];
     in_msg = Array.make (Trace.Ref_record.max_pe + 1) false;
     attrib = Array.make (Trace.Ref_record.max_pe + 1) None;
     records = 0;
@@ -55,13 +62,16 @@ let bit (op : Trace.Ref_record.op) =
 let on_record t (r : Trace.Ref_record.t) =
   t.records <- t.records + 1;
   let pe = r.Trace.Ref_record.pe in
-  (match Hashtbl.find_opt t.addrs r.Trace.Ref_record.addr with
-  | None ->
-    Hashtbl.replace t.addrs r.Trace.Ref_record.addr
-      (pe, false, Trace.Area.to_int r.Trace.Ref_record.area)
-  | Some (first, shared, area) ->
+  let addr = r.Trace.Ref_record.addr in
+  let area = Trace.Area.to_int r.Trace.Ref_record.area in
+  (match Hashtbl.find_opt t.addrs addr with
+  | None -> Hashtbl.replace t.addrs addr (pe, false, area)
+  | Some ((_, _, area') as info) when area' <> area ->
+    t.retired <- (addr, info) :: t.retired;
+    Hashtbl.replace t.addrs addr (pe, false, area)
+  | Some (first, shared, _) ->
     if (not shared) && first <> pe then
-      Hashtbl.replace t.addrs r.Trace.Ref_record.addr (first, true, area));
+      Hashtbl.replace t.addrs addr (first, true, area));
   if r.Trace.Ref_record.area = Trace.Area.Code then begin
     t.in_msg.(pe) <- false;
     t.attrib.(pe) <-
@@ -101,7 +111,10 @@ let dyn_shared _t addr (first, multi, _) =
   owner >= 0 && first <> owner
 
 let fold_addrs f t acc =
-  Hashtbl.fold
-    (fun addr ((_, _, area) as info) acc ->
-      f acc ~addr ~area:(Trace.Area.of_int area) ~shared:(dyn_shared t addr info))
-    t.addrs acc
+  let visit acc addr ((_, _, area) as info) =
+    f acc ~addr ~area:(Trace.Area.of_int area) ~shared:(dyn_shared t addr info)
+  in
+  List.fold_left
+    (fun acc (addr, info) -> visit acc addr info)
+    (Hashtbl.fold (fun addr info acc -> visit acc addr info) t.addrs acc)
+    t.retired

@@ -68,7 +68,7 @@ let check (static : Static.t) (c : Collect.t) =
 (* Shareability-tag scoring.                                          *)
 
 type tag_score = {
-  addrs : int;  (** distinct addresses touched *)
+  addrs : int;  (** address incarnations touched (see {!Collect}) *)
   dyn_shared : int;  (** addresses dynamically shared between PEs *)
   predicted_shared : int;
   true_pos : int;

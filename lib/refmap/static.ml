@@ -1,8 +1,8 @@
 (* Static per-predicate access summaries over compiled WAM bytecode.
 
    The compiler lays each predicate out contiguously from its entry,
-   so sorting the entry map partitions the code area into ranges (the
-   same scheme Wam.Profile uses for dynamic attribution — keeping the
+   so its entries partition the code area into ranges (Wam.Code.ranges,
+   the partition Wam.Profile uses for dynamic attribution — keeping the
    two sides of the oracle aligned).  Each range is scanned with a
    small abstract state (groundness of argument and permanent
    registers, read/write mode of the unification sequence in
@@ -15,6 +15,9 @@
        parcall join) nothing is assumed;
      - groundness only ever *removes* accesses (a ground unification
        runs in read mode); failure remains possible everywhere.
+
+   The summarized code is compiled without a det or bind plan, so every
+   instruction is a plain base form (no spec, no shallow chain).
 
    Per-instruction footprints come from Wam.Access; a predicate
    containing any may-fail instruction also absorbs the failure-path
@@ -44,8 +47,7 @@ type t = {
   order : int list;  (** fids, callees before callers *)
   parallel : bool;
   symbols : Wam.Symbols.t;
-  bounds : int array;
-  bound_fids : int array;
+  ranges : (int * int) array;  (** [Wam.Code.ranges] *)
   program : Summary.t;  (** join of every closure *)
   iterations : int;  (** closure passes until the fixpoint *)
 }
@@ -58,18 +60,8 @@ let find_spec t ~name ~arity =
   let fid = Wam.Symbols.functor_ t.symbols name arity in
   find t fid
 
-(* Greatest entry <= idx (Profile's owner scheme). *)
 let owner_fid t idx =
-  let n = Array.length t.bounds in
-  if n = 0 || idx < t.bounds.(0) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let m = (!lo + !hi + 1) / 2 in
-      if t.bounds.(m) <= idx then lo := m else hi := m - 1
-    done;
-    Some t.bound_fids.(!lo)
-  end
+  Option.map (fun i -> snd t.ranges.(i)) (Wam.Code.range_of t.ranges idx)
 
 (* ------------------------------------------------------------------ *)
 (* Range analysis.                                                    *)
@@ -126,7 +118,7 @@ let step st (i : Wam.Instr.t) =
   let open Wam.Instr in
   let open Prolog.Abspat in
   match i with
-  | Put_variable (r, a) ->
+  | Put_variable (r, a, _) ->
     write_reg st r Free;
     write_reg st (X a) Free
   | Put_value (r, a) -> write_reg st (X a) (read_reg st r)
@@ -137,46 +129,21 @@ let step st (i : Wam.Instr.t) =
     write_reg st (X a) Any;
     st.sm <- Sw
   | Get_variable (r, a) -> write_reg st r (read_reg st (X a))
-  | Get_value (r, a) ->
+  | Get_value (r, a, _) ->
     let g =
       if read_reg st r = Ground || read_reg st (X a) = Ground then Ground
       else Any
     in
     write_reg st r g;
     write_reg st (X a) g
-  | Get_constant (_, a) | Get_integer (_, a) | Get_nil a ->
+  | Get_constant (_, a, _) | Get_integer (_, a, _) | Get_nil (a, _) ->
     write_reg st (X a) Ground
-  | Get_structure (_, a) | Get_list a ->
+  | Get_structure (_, a, _) | Get_list (a, _) ->
     if read_reg st (X a) = Ground then st.sm <- Sg
     else begin
       write_reg st (X a) Any;
       st.sm <- Su
     end
-  (* binding-certified specializations behave like their baseline
-     forms for groundness purposes *)
-  | Get_value_r (r, a) | Get_value_u (r, a) ->
-    let g =
-      if read_reg st r = Ground || read_reg st (X a) = Ground then Ground
-      else Any
-    in
-    write_reg st r g;
-    write_reg st (X a) g
-  | Get_constant_u (_, a) | Get_integer_u (_, a) | Get_nil_u a ->
-    write_reg st (X a) Ground
-  | Get_structure_r (_, a) ->
-    (* rigid depth-0 certificate: the argument is bound, not ground *)
-    write_reg st (X a) Any;
-    st.sm <- Su
-  | Get_list_r a ->
-    write_reg st (X a) Any;
-    st.sm <- Su
-  | Get_structure_u (_, a) | Get_list_u a ->
-    (* certified free: the head term is built in write mode *)
-    write_reg st (X a) Any;
-    st.sm <- Sw
-  | Put_uninit (r, a) ->
-    write_reg st r Free;
-    write_reg st (X a) Free
   | Unify_variable r ->
     write_reg st r (match st.sm with Sg -> Ground | Sw -> Free | Su -> Any)
   | Unify_value r | Unify_local_value r ->
@@ -187,7 +154,7 @@ let step st (i : Wam.Instr.t) =
   | Deallocate -> Array.fill st.y 0 (Array.length st.y) Any
   | Call _ -> degrade_after_call st
   | Par_join -> degrade_after_call st
-  | Builtin (b, n) | Builtin_nt (b, n) ->
+  | Builtin (b, n, _) ->
     (* builtins may bind their arguments in place *)
     for i = 1 to min n (max_x - 1) do
       if st.x.(i) <> Ground then st.x.(i) <- Any
@@ -199,8 +166,7 @@ let step st (i : Wam.Instr.t) =
        through a label, which reseeds *)
     kill_x st;
     Array.fill st.y 0 (Array.length st.y) Any
-  | Try _ | Retry _ | Trust _ | Det_try _ | Det_retry _ | Det_trust _
-  | Switch_on_term _ | Switch_on_constant _
+  | Try _ | Retry _ | Trust _ | Switch_on_term _ | Switch_on_constant _
   | Switch_on_integer _ | Switch_on_structure _ | Neck_cut | Cut_to _
   | Check_ground _ | Check_indep _ | Check_size _ | Alloc_parcall _
   | Push_goal _ ->
@@ -215,8 +181,7 @@ let targets code ~entry ~stop =
   let add tbl l = if l >= entry && l < stop then Hashtbl.replace tbl l () in
   for addr = entry to stop - 1 do
     match Wam.Code.fetch code addr with
-    | Wam.Instr.Try l | Wam.Instr.Retry l | Wam.Instr.Trust l
-    | Wam.Instr.Det_try l | Wam.Instr.Det_retry l | Wam.Instr.Det_trust l ->
+    | Wam.Instr.Try (l, _) | Wam.Instr.Retry (l, _) | Wam.Instr.Trust (l, _) ->
       add dispatch l
     | Wam.Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
       List.iter (add dispatch) [ var_l; con_l; int_l; lis_l; str_l ]
@@ -237,8 +202,7 @@ let targets code ~entry ~stop =
      itself with restored arguments: seed there too *)
   for addr = entry to stop - 1 do
     match Wam.Code.fetch code addr with
-    | Wam.Instr.Retry _ | Wam.Instr.Trust _ | Wam.Instr.Det_retry _
-    | Wam.Instr.Det_trust _ ->
+    | Wam.Instr.Retry _ | Wam.Instr.Trust _ ->
       Hashtbl.replace dispatch addr ()
     | _ -> ()
   done;
@@ -295,11 +259,7 @@ let has_parallel code =
 let build ?patterns (prog : Wam.Program.t) =
   let code = prog.Wam.Program.code in
   let symbols = prog.Wam.Program.symbols in
-  let entries = ref [] in
-  Wam.Code.iter_entries code (fun fid addr -> entries := (addr, fid) :: !entries);
-  let entries =
-    Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) !entries)
-  in
+  let entries = Wam.Code.ranges code in
   let parallel = has_parallel code in
   let preds = Hashtbl.create 64 in
   Array.iteri
@@ -375,8 +335,7 @@ let build ?patterns (prog : Wam.Program.t) =
     order;
     parallel;
     symbols;
-    bounds = Array.map fst entries;
-    bound_fids = Array.map snd entries;
+    ranges = entries;
     program;
     iterations = !iterations;
   }

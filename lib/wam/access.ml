@@ -71,27 +71,62 @@ let builtin (b : Builtin.t) =
   | Builtin.Arg_b -> deref @ [ rd Heap ] @ bind
   | Builtin.Univ -> deref @ [ rd Heap ] @ hpush @ bind
 
+(* What each spec removes from its base instruction: [`Rigid] skips
+   the argument deref loop; [`Uncond] skips the trail test and write
+   (for put_uninit, the dead init store of the cell those bindings
+   fill), and on a get of a certified-free argument also the deref. *)
+type elision = { deref : bool; trail : bool }
+
+let elided (i : Instr.t) =
+  match (i, Instr.spec i) with
+  | _, `Plain -> { deref = false; trail = false }
+  | _, `Rigid -> { deref = true; trail = false }
+  | (Instr.Get_value _ | Instr.Builtin _ | Instr.Put_variable _), `Uncond ->
+    { deref = false; trail = true }
+  | _, `Uncond -> { deref = true; trail = true }
+
+let untrailed accs = List.filter (fun a -> a.area <> Trail) accs
+
+(* A certified-free argument is bound by overwriting its cell. *)
+let overwrite = [ wr Heap; wr Env_pvar ]
+
 let of_instr ?(ctx = conservative) (i : Instr.t) =
   match i with
   (* put group *)
-  | Instr.Put_variable (Instr.X _, _) -> hpush
-  | Instr.Put_variable (Instr.Y _, _) -> [ wr Env_pvar ]
+  | Instr.Put_variable (_, _, `Uncond) ->
+    (* the dead self-reference init is an untraced store *)
+    []
+  | Instr.Put_variable (Instr.X _, _, `Plain) -> hpush
+  | Instr.Put_variable (Instr.Y _, _, `Plain) -> [ wr Env_pvar ]
   | Instr.Put_value (r, _) -> get_reg r
   | Instr.Put_unsafe_value _ -> [ rd Env_pvar ] @ deref @ hpush @ bind
   | Instr.Put_constant _ | Instr.Put_integer _ | Instr.Put_nil _
   | Instr.Put_list _ ->
     []
   | Instr.Put_structure _ -> hpush
-  (* get group: ground argument => pure read-mode matching *)
+  (* get group: ground argument => pure read-mode matching.  A rigid
+     get_value skips only the argument's deref: the unification still
+     dereferences the other side and can bind subterm variables *)
   | Instr.Get_variable (r, _) -> set_reg r
-  | Instr.Get_value (r, _) ->
-    if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-    else get_reg r @ unify_full
-  | Instr.Get_constant (_, a) | Instr.Get_integer (_, a) ->
+  | Instr.Get_value (r, _, s) ->
+    let fp =
+      if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
+      else get_reg r @ unify_full
+    in
+    if s = `Uncond then untrailed fp else fp
+  | Instr.Get_constant (_, _, `Uncond)
+  | Instr.Get_integer (_, _, `Uncond)
+  | Instr.Get_nil (_, `Uncond)
+  | Instr.Get_structure (_, _, `Uncond)
+  | Instr.Get_list (_, `Uncond) ->
+    overwrite
+  | Instr.Get_constant (_, a, `Plain)
+  | Instr.Get_integer (_, a, `Plain)
+  | Instr.Get_nil (a, `Plain) ->
     if ctx.ground (Instr.X a) then deref else deref @ bind
-  | Instr.Get_nil a ->
-    if ctx.ground (Instr.X a) then deref else deref @ bind
-  | Instr.Get_structure (_, a) | Instr.Get_list a ->
+  | Instr.Get_structure (_, _, `Rigid) -> [ rd Heap ]
+  | Instr.Get_list (_, `Rigid) -> []
+  | Instr.Get_structure (_, a, `Plain) | Instr.Get_list (a, `Plain) ->
     if ctx.ground (Instr.X a) then deref @ [ rd Heap ]
     else deref @ [ rd Heap ] @ hpush @ bind
   (* unify group: a ground structure being read never binds its own
@@ -113,15 +148,14 @@ let of_instr ?(ctx = conservative) (i : Instr.t) =
   | Instr.Call _ | Instr.Execute _ | Instr.Proceed | Instr.Jump _
   | Instr.Halt_ok ->
     []
-  (* choice *)
+  (* choice.  A shallow frame lives in processor registers, so the
+     chain instructions themselves touch no memory (commit-time trail
+     flushes are charged to the binding instructions, whose footprints
+     already include the trail write) *)
+  | Instr.Try (_, true) | Instr.Retry (_, true) | Instr.Trust (_, true) -> []
   | Instr.Try _ -> [ wr Choice_point ]
   | Instr.Retry _ -> [ rd Choice_point; wr Choice_point ]
   | Instr.Trust _ -> [ rd Choice_point ]
-  (* determinacy-certified chains: the shallow frame lives in
-     processor registers, so the chain instructions themselves touch
-     no memory (commit-time trail flushes are charged to the binding
-     instructions, whose footprints already include the trail write) *)
-  | Instr.Det_try _ | Instr.Det_retry _ | Instr.Det_trust _ -> []
   (* indexing *)
   | Instr.Switch_on_term _ | Instr.Switch_on_constant _
   | Instr.Switch_on_integer _ ->
@@ -132,33 +166,8 @@ let of_instr ?(ctx = conservative) (i : Instr.t) =
   | Instr.Get_level _ -> [ wr Env_pvar ]
   | Instr.Cut_to _ -> [ rd Env_pvar; rd Choice_point ]
   (* escapes *)
-  | Instr.Builtin (b, _) -> builtin b
-  | Instr.Builtin_nt (b, _) ->
-    (* certified-unconditional bindings: the trail write is elided *)
-    List.filter (fun a -> a.area <> Trail) (builtin b)
-  (* binding-certified specializations: no deref reads ([_r]/[_u] skip
-     the Ref chase), and the [_u] binds skip the trail write *)
-  | Instr.Get_structure_r _ -> [ rd Heap ]
-  | Instr.Get_list_r _ -> []
-  | Instr.Get_value_r (r, _) ->
-    (* the elision is the argument's deref loop; the unification that
-       follows can still bind (and trail) subterm variables *)
-    if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-    else get_reg r @ unify_full
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ ->
-    [ wr Heap; wr Env_pvar ]
-  | Instr.Get_constant_u _ | Instr.Get_integer_u _ | Instr.Get_nil_u _ ->
-    [ wr Heap; wr Env_pvar ]
-  | Instr.Put_uninit _ ->
-    (* the dead self-reference init is an untraced store *)
-    []
-  | Instr.Get_value_u (r, _) ->
-    (* full unification, certified-unconditional bindings: the trail
-       write is elided *)
-    List.filter
-      (fun a -> a.area <> Trail)
-      (if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-       else get_reg r @ unify_full)
+  | Instr.Builtin (b, _, s) ->
+    if s = `Uncond then untrailed (builtin b) else builtin b
   (* parallel extensions *)
   | Instr.Check_ground (r, _) -> get_reg r @ deref @ [ rd Heap ]
   | Instr.Check_indep (r1, r2, _) ->
@@ -187,12 +196,9 @@ let may_fail (i : Instr.t) =
   | Instr.Unify_value _ | Instr.Unify_local_value _ | Instr.Unify_constant _
   | Instr.Unify_integer _ | Instr.Unify_nil | Instr.Switch_on_term _
   | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
-  | Instr.Switch_on_structure _ | Instr.Par_join
-  | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ | Instr.Get_constant_u _
-  | Instr.Get_integer_u _ | Instr.Get_nil_u _ | Instr.Get_value_u _ ->
+  | Instr.Switch_on_structure _ | Instr.Par_join ->
     true
-  | Instr.Builtin (b, _) | Instr.Builtin_nt (b, _) -> begin
+  | Instr.Builtin (b, _, _) -> begin
     match b with
     | Builtin.True_b | Builtin.Write_t | Builtin.Print_t | Builtin.Nl
     | Builtin.Halt_b ->

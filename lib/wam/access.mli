@@ -33,6 +33,19 @@ val of_instr : ?ctx:ctx -> Instr.t -> acc list
     execution.  Instruction fetches (Code reads) are implicit and not
     listed. *)
 
+type elision = {
+  deref : bool;  (** the argument dereference reads are skipped *)
+  trail : bool;
+      (** the bindings are certified unconditional: no trail test or
+          write ([put_uninit]: no init store of the cell they fill) *)
+}
+
+val elided : Instr.t -> elision
+(** What the instruction's spec removes from its base instruction:
+    nothing for [`Plain], the deref for [`Rigid], the trail work for
+    [`Uncond] (plus the deref on the gets other than [get_value]).  A
+    spec's {!of_instr} footprint is a subset of its base's. *)
+
 val may_fail : Instr.t -> bool
 (** Can executing this instruction enter the failure path
     (choice-point restore + untrail)?  Calls are excluded: a callee's

@@ -40,6 +40,10 @@ let num n = make tag_num n
 let fun_ f = make tag_fun f
 let raw n = make tag_raw n
 
+let min_num = min_int asr 3
+let max_num = max_int asr 3
+let fits_num n = n >= min_num && n <= max_num
+
 let tag w = w land 7
 let payload w = w asr 3
 

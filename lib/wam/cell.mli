@@ -19,8 +19,16 @@ val str : int -> int
 val lis : int -> int
 val con : int -> int
 val num : int -> int
+(** Unchecked: an integer outside {!fits_num} would silently wrap. *)
+
 val fun_ : int -> int
 val raw : int -> int
+
+val min_num : int
+val max_num : int
+(** The [Num] payload range: 60-bit two's complement, [-2^59 .. 2^59-1]. *)
+
+val fits_num : int -> bool
 
 (** {1 Inspection} *)
 

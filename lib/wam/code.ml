@@ -36,7 +36,21 @@ let set_entry t fid addr =
 
 let entry t fid = Hashtbl.find_opt t.entries fid
 
-let iter_entries t f = Hashtbl.iter f t.entries
+let ranges t =
+  Hashtbl.fold (fun fid addr acc -> (addr, fid) :: acc) t.entries []
+  |> List.sort compare |> Array.of_list
+
+let range_of ranges addr =
+  let n = Array.length ranges in
+  if n = 0 || addr < fst ranges.(0) then None
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let m = (!lo + !hi + 1) / 2 in
+      if fst ranges.(m) <= addr then lo := m else hi := m - 1
+    done;
+    Some !lo
+  end
 
 let trace_addr addr = Layout.code_base + addr
 

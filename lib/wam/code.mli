@@ -25,9 +25,14 @@ val set_entry : t -> int -> int -> unit
 
 val entry : t -> int -> int option
 
-val iter_entries : t -> (int -> int -> unit) -> unit
-(** [iter_entries t f] calls [f fid addr] for every predicate entry,
-    in unspecified order. *)
+val ranges : t -> (int * int) array
+(** Predicate code ranges as [(entry, fid)], sorted by entry.  The
+    compiler lays each predicate out contiguously from its entry, so
+    range [i] spans from its entry up to the next range's entry. *)
+
+val range_of : (int * int) array -> int -> int option
+(** Index of the range owning an instruction address (the greatest
+    entry [<=] it), by binary search; [None] below the first entry. *)
 
 val trace_addr : int -> int
 (** Code-region address of an instruction, for trace records. *)

@@ -21,6 +21,10 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
+(* Integer literals must fit the Num payload; a wider one would wrap. *)
+let lit n =
+  if Cell.fits_num n then n else error "integer literal %d out of range" n
+
 (* ------------------------------------------------------------------ *)
 (* Variable classification.                                           *)
 
@@ -99,14 +103,14 @@ let goal_kind db g =
    every call to a predicate: that an argument is always a
    first-occurrence free variable whose binding is unconditional
    (no choice point or parcall redo can ever untrail it), or that it
-   is always bound rigid with dereference depth 0.  The compiler
-   rewrites head instructions 1:1 into the [_u] / [_r] specializations
-   of {!Instr}, swaps certified builtins to [builtin_nt], and turns a
-   certified first-occurrence argument put into [put_uninit].  Every
-   rewrite replaces exactly one instruction, so a plan-compiled code
-   area stays address-aligned with the baseline — the trace-replay
-   oracle in lib/bindan diffs the two arrays to find the certified
-   sites and audits each against a baseline trace. *)
+   is always bound rigid with dereference depth 0.  The compiler sets
+   the spec of the certified head gets ([`Uncond] / [`Rigid], listed
+   [_u] / [_r]), of certified builtins ([`Uncond], [builtin_nt]) and of
+   certified first-occurrence argument puts ([`Uncond], [put_uninit]).
+   Every rewrite changes only the spec of one instruction, so a
+   plan-compiled code area stays address-aligned with the baseline —
+   the trace-replay oracle in lib/bindan diffs the two arrays to find
+   the certified sites and audits each against a baseline trace. *)
 type arg_cert =
   | Cert_none
   | Cert_rigid  (** always bound, deref depth 0 at the head *)
@@ -196,7 +200,7 @@ let compile_head ctx ?bind head =
       if is_void ctx v then emit (Instr.Unify_void 1)
       else if first_occ v then emit (Instr.Unify_variable (reg_of ctx v))
       else emit (Instr.Unify_local_value (reg_of ctx v))
-    | Prolog.Term.Int n -> emit (Instr.Unify_integer n)
+    | Prolog.Term.Int n -> emit (Instr.Unify_integer (lit n))
     | Prolog.Term.Atom "[]" -> emit Instr.Unify_nil
     | Prolog.Term.Atom a ->
       emit (Instr.Unify_constant (Symbols.atom ctx.symbols a))
@@ -205,45 +209,46 @@ let compile_head ctx ?bind head =
       emit (Instr.Unify_variable (Instr.X t_reg));
       Queue.add (t_reg, t) queue
   in
-  let get_term ?(spec = Cert_none) ~into t =
-    match (t, spec) with
-    | Prolog.Term.Var v, _ ->
+  let get_term ?(cert = Cert_none) ~into t =
+    (* the spec each base instruction takes under the certificate *)
+    let atomic = if cert = Cert_uninit then `Uncond else `Plain in
+    let compound =
+      match cert with
+      | Cert_uninit -> `Uncond
+      | Cert_rigid -> `Rigid
+      | Cert_none | Cert_value_nt -> `Plain
+    in
+    match t with
+    | Prolog.Term.Var v ->
       (* A void head argument needs no instruction. *)
       if not (is_void ctx v) then
         if first_occ v then emit (Instr.Get_variable (reg_of ctx v, into))
-        else if spec = Cert_rigid then
-          emit (Instr.Get_value_r (reg_of ctx v, into))
-        else if spec = Cert_value_nt then
-          emit (Instr.Get_value_u (reg_of ctx v, into))
-        else emit (Instr.Get_value (reg_of ctx v, into))
-    | Prolog.Term.Int n, Cert_uninit -> emit (Instr.Get_integer_u (n, into))
-    | Prolog.Term.Int n, _ -> emit (Instr.Get_integer (n, into))
-    | Prolog.Term.Atom "[]", Cert_uninit -> emit (Instr.Get_nil_u into)
-    | Prolog.Term.Atom "[]", _ -> emit (Instr.Get_nil into)
-    | Prolog.Term.Atom a, Cert_uninit ->
-      emit (Instr.Get_constant_u (Symbols.atom ctx.symbols a, into))
-    | Prolog.Term.Atom a, _ ->
-      emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into))
-    | Prolog.Term.Struct (".", [ h; tl ]), _ ->
-      (match spec with
-      | Cert_uninit -> emit (Instr.Get_list_u into)
-      | Cert_rigid -> emit (Instr.Get_list_r into)
-      | Cert_none | Cert_value_nt -> emit (Instr.Get_list into));
+        else
+          let s =
+            match cert with
+            | Cert_rigid -> `Rigid
+            | Cert_value_nt -> `Uncond
+            | Cert_none | Cert_uninit -> `Plain
+          in
+          emit (Instr.Get_value (reg_of ctx v, into, s))
+    | Prolog.Term.Int n -> emit (Instr.Get_integer (lit n, into, atomic))
+    | Prolog.Term.Atom "[]" -> emit (Instr.Get_nil (into, atomic))
+    | Prolog.Term.Atom a ->
+      emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into, atomic))
+    | Prolog.Term.Struct (".", [ h; tl ]) ->
+      emit (Instr.Get_list (into, compound));
       unify_arg h;
       unify_arg tl
-    | Prolog.Term.Struct (f, args), _ ->
+    | Prolog.Term.Struct (f, args) ->
       let fid = Symbols.functor_ ctx.symbols f (List.length args) in
-      (match spec with
-      | Cert_uninit -> emit (Instr.Get_structure_u (fid, into))
-      | Cert_rigid -> emit (Instr.Get_structure_r (fid, into))
-      | Cert_none | Cert_value_nt -> emit (Instr.Get_structure (fid, into)));
+      emit (Instr.Get_structure (fid, into, compound));
       List.iter unify_arg args
   in
   let name, head_args = goal_parts head in
   let pred = (name, List.length head_args) in
   List.iteri
     (fun i arg ->
-      get_term ~spec:(arg_cert bind ~pred ~arg:(i + 1)) ~into:(i + 1) arg)
+      get_term ~cert:(arg_cert bind ~pred ~arg:(i + 1)) ~into:(i + 1) arg)
     head_args;
   (* Drain nested structures. *)
   let rec drain () =
@@ -296,7 +301,7 @@ and prepare_unify_arg ctx seen t =
       (Instr.Unify_variable (reg_of ctx v), [])
     end
     else (Instr.Unify_local_value (reg_of ctx v), [])
-  | Prolog.Term.Int n -> (Instr.Unify_integer n, [])
+  | Prolog.Term.Int n -> (Instr.Unify_integer (lit n), [])
   | Prolog.Term.Atom "[]" -> (Instr.Unify_nil, [])
   | Prolog.Term.Atom a ->
     (Instr.Unify_constant (Symbols.atom ctx.symbols a), [])
@@ -321,8 +326,8 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
       let info = Hashtbl.find ctx.vars v in
       if not (Hashtbl.mem seen v) then begin
         Hashtbl.add seen v ();
-        if uninit into then emit (Instr.Put_uninit (reg_of ctx v, into))
-        else emit (Instr.Put_variable (reg_of ctx v, into))
+        let s = if uninit into then `Uncond else `Plain in
+        emit (Instr.Put_variable (reg_of ctx v, into, s))
       end
       else begin
         match reg_of ctx v with
@@ -330,7 +335,7 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
           emit (Instr.Put_unsafe_value (y, into))
         | reg -> emit (Instr.Put_value (reg, into))
       end
-    | Prolog.Term.Int n -> emit (Instr.Put_integer (n, into))
+    | Prolog.Term.Int n -> emit (Instr.Put_integer (lit n, into))
     | Prolog.Term.Atom "[]" -> emit (Instr.Put_nil into)
     | Prolog.Term.Atom a ->
       emit (Instr.Put_constant (Symbols.atom ctx.symbols a, into))
@@ -363,7 +368,7 @@ let flush_synth code alloc =
   List.iter
     (fun (fid, b, arity) ->
       let addr = Code.here code in
-      ignore (Code.emit code (Instr.Builtin (b, arity)));
+      ignore (Code.emit code (Instr.Builtin (b, arity, `Plain)));
       ignore (Code.emit code Instr.Proceed);
       Code.set_entry code fid addr)
     (List.rev alloc.pending);
@@ -587,9 +592,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
             | Some p -> p.bind_builtin ~pred:clause_pred b
             | None -> false
           in
-          emit
-            (if nt then Instr.Builtin_nt (b, arity)
-             else Instr.Builtin (b, arity));
+          emit (Instr.Builtin (b, arity, if nt then `Uncond else `Plain));
           emit_items (idx + 1) rest
         | G_user ->
           let fid = Symbols.functor_ ctx.symbols name arity in
@@ -617,7 +620,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
           | Prolog.Term.Var v when not (Hashtbl.mem seen v) ->
             Hashtbl.replace seen v ();
             let a = alloc_temp ctx in
-            emit (Instr.Put_variable (reg_of ctx v, a));
+            emit (Instr.Put_variable (reg_of ctx v, a, `Plain));
             free_temp ctx a
           | Prolog.Term.Var _ | Prolog.Term.Atom _ | Prolog.Term.Int _
           | Prolog.Term.Struct _ ->
@@ -682,7 +685,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
          match goal_kind db inline_arm with
          | G_builtin b ->
            put_args ctx seen ~last:false args;
-           emit (Instr.Builtin (b, arity))
+           emit (Instr.Builtin (b, arity, `Plain))
          | G_user ->
            let fid = Symbols.functor_ ctx.symbols name arity in
            put_args ctx seen ~uninit:(uninit_of bind (name, arity))
@@ -718,7 +721,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
               match goal_kind db arm with
               | G_builtin b ->
                 put_args ctx seen_before ~last:false args;
-                emit (Instr.Builtin (b, arity))
+                emit (Instr.Builtin (b, arity, `Plain))
               | G_user ->
                 let fid = Symbols.functor_ ctx.symbols name arity in
                 put_args ctx seen_before
@@ -799,18 +802,13 @@ let first_arg_of symbols (clause : Prolog.Database.clause) =
   | Prolog.Term.Struct (_, []) | Prolog.Term.Int _ | Prolog.Term.Var _ ->
     FA_var
 
-(* Chain instruction for position [i] of [n] alternatives.  The det
-   variants keep the frame in registers; [sabotage] mis-heads the
-   chain with det_retry (seeded defect for the orphan-chain lint). *)
+(* Chain instruction for position [i] of [n] alternatives.  A det
+   chain is shallow: its frame stays in registers; [sabotage] mis-heads
+   it with det_retry (seeded defect for the orphan-chain lint). *)
 let chain_instr ~det ~sabotage i n target =
-  if det then
-    if i = 0 then
-      if sabotage then Instr.Det_retry target else Instr.Det_try target
-    else if i = n - 1 then Instr.Det_trust target
-    else Instr.Det_retry target
-  else if i = 0 then Instr.Try target
-  else if i = n - 1 then Instr.Trust target
-  else Instr.Retry target
+  if i = 0 && not (det && sabotage) then Instr.Try (target, det)
+  else if i = n - 1 then Instr.Trust (target, det)
+  else Instr.Retry (target, det)
 
 (* Emit a try/retry/trust chain over clause addresses.  A single
    address needs no chain. *)

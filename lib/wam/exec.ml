@@ -136,6 +136,19 @@ let fresh_heap_var m w =
   ignore (hpush m w (Cell.ref_ a));
   a
 
+(* [put_uninit]: the fresh cell's self-reference init is dead (every
+   consumer reaches it through a certified [`Uncond] overwrite before
+   any read), so it is an untraced store -- the heap write a plain
+   put_variable pays is the reference the spec deletes. *)
+let uninit_heap_var m (w : worker) =
+  if w.h >= Layout.heap_limit w.id then
+    runtime_error "heap overflow (PE %d)" w.id;
+  let a = w.h in
+  Memory.poke m.mem a (Cell.ref_ a);
+  w.h <- w.h + 1;
+  if w.h > w.max_h then w.max_h <- w.h;
+  a
+
 (* ------------------------------------------------------------------ *)
 (* Unification (PDL-based).                                           *)
 
@@ -275,15 +288,10 @@ let commits = function
   | Instr.Unify_variable _ | Instr.Unify_value _ | Instr.Unify_local_value _
   | Instr.Unify_constant _ | Instr.Unify_integer _ | Instr.Unify_nil
   | Instr.Unify_void _ | Instr.Allocate _ | Instr.Deallocate | Instr.Jump _
-  | Instr.Try _ | Instr.Retry _ | Instr.Trust _ | Instr.Det_try _
-  | Instr.Det_retry _ | Instr.Det_trust _ | Instr.Switch_on_term _
+  | Instr.Try _ | Instr.Retry _ | Instr.Trust _ | Instr.Switch_on_term _
   | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
   | Instr.Switch_on_structure _ | Instr.Get_level _ | Instr.Builtin _
-  | Instr.Check_ground _ | Instr.Check_indep _ | Instr.Check_size _
-  | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ | Instr.Get_constant_u _
-  | Instr.Get_integer_u _ | Instr.Get_nil_u _ | Instr.Builtin_nt _
-  | Instr.Put_uninit _ | Instr.Get_value_u _ ->
+  | Instr.Check_ground _ | Instr.Check_indep _ | Instr.Check_size _ ->
     false
 
 let maybe_commit m (w : worker) instr =
@@ -498,41 +506,58 @@ let rec compare_terms m w c1 c2 =
     end
   end
 
+(* Arithmetic results must fit the Num payload ([Cell.fits_num]): an
+   out-of-range result is an evaluation error, never a wrapped answer.
+   Operands are in range, so only [*] and [<<] can overflow the native
+   int before the range check sees the result. *)
+let int_overflow () = runtime_error "evaluation_error(int_overflow)"
+
+let mul a b =
+  let r = a * b in
+  if a <> 0 && r / a <> b then int_overflow () else r
+
+let shift_left a s =
+  if s >= 0 && (s >= Sys.int_size || (a lsl s) asr s <> a) then
+    int_overflow ()
+  else a lsl s
+
 let rec eval_arith m w cell =
   match Cell.view (deref m w cell) with
   | Cell.Num n -> n
-  | Cell.Str a -> begin
+  | Cell.Str a ->
     let fid = functor_cell m w a in
     let name = Symbols.functor_name m.symbols fid in
     let arity = Symbols.functor_arity m.symbols fid in
     let arg i = eval_arith m w (rd_auto m w (a + i)) in
-    match (name, arity) with
-    | "+", 2 -> arg 1 + arg 2
-    | "-", 2 -> arg 1 - arg 2
-    | "*", 2 -> arg 1 * arg 2
-    | "//", 2 | "/", 2 ->
-      let d = arg 2 in
-      if d = 0 then runtime_error "zero divisor" else arg 1 / d
-    | "mod", 2 ->
-      let d = arg 2 in
-      if d = 0 then runtime_error "zero divisor"
-      else begin
-        let r = arg 1 mod d in
-        if (r < 0 && d > 0) || (r > 0 && d < 0) then r + d else r
-      end
-    | "rem", 2 -> arg 1 mod arg 2
-    | "min", 2 -> min (arg 1) (arg 2)
-    | "max", 2 -> max (arg 1) (arg 2)
-    | ">>", 2 -> arg 1 asr arg 2
-    | "<<", 2 -> arg 1 lsl arg 2
-    | "/\\", 2 -> arg 1 land arg 2
-    | "\\/", 2 -> arg 1 lor arg 2
-    | "-", 1 -> -arg 1
-    | "+", 1 -> arg 1
-    | "abs", 1 -> abs (arg 1)
-    | "sign", 1 -> compare (arg 1) 0
-    | _, _ -> runtime_error "not evaluable: %s/%d" name arity
-  end
+    let r =
+      match (name, arity) with
+      | "+", 2 -> arg 1 + arg 2
+      | "-", 2 -> arg 1 - arg 2
+      | "*", 2 -> mul (arg 1) (arg 2)
+      | "//", 2 | "/", 2 ->
+        let d = arg 2 in
+        if d = 0 then runtime_error "zero divisor" else arg 1 / d
+      | "mod", 2 ->
+        let d = arg 2 in
+        if d = 0 then runtime_error "zero divisor"
+        else begin
+          let r = arg 1 mod d in
+          if (r < 0 && d > 0) || (r > 0 && d < 0) then r + d else r
+        end
+      | "rem", 2 -> arg 1 mod arg 2
+      | "min", 2 -> min (arg 1) (arg 2)
+      | "max", 2 -> max (arg 1) (arg 2)
+      | ">>", 2 -> arg 1 asr arg 2
+      | "<<", 2 -> shift_left (arg 1) (arg 2)
+      | "/\\", 2 -> arg 1 land arg 2
+      | "\\/", 2 -> arg 1 lor arg 2
+      | "-", 1 -> -arg 1
+      | "+", 1 -> arg 1
+      | "abs", 1 -> abs (arg 1)
+      | "sign", 1 -> compare (arg 1) 0
+      | _, _ -> runtime_error "not evaluable: %s/%d" name arity
+    in
+    if Cell.fits_num r then r else int_overflow ()
   | Cell.Con c ->
     runtime_error "not evaluable: %s/0" (Symbols.atom_name m.symbols c)
   | Cell.Ref _ -> runtime_error "is/2: argument insufficiently instantiated"
@@ -579,7 +604,9 @@ let rec decode m w cell =
    variables share bindings through [env] (name -> heap address). *)
 let rec encode m w env t =
   match t with
-  | Prolog.Term.Int n -> Cell.num n
+  | Prolog.Term.Int n ->
+    if Cell.fits_num n then Cell.num n
+    else runtime_error "integer %d out of range" n
   | Prolog.Term.Atom a -> Cell.con (Symbols.atom m.symbols a)
   | Prolog.Term.Var v -> begin
     match Hashtbl.find_opt env v with
@@ -903,16 +930,59 @@ let call_entry m (w : worker) fid ~tail =
     w.b0 <- w.b;
     w.p <- entry
 
+(* Binding-certified specializations (lib/bindan).  [`Rigid] and
+   [`Uncond] gets read the argument register as-is: the certificate
+   puts the final cell (rigid) or the Ref to the free cell (uncond) at
+   depth 0, so the deref loop is skipped.  A cell the certificate
+   rules out fails rather than being mis-read.  [`Uncond] binds
+   overwrite the cell without the trail test or write. *)
+let spec_arg m w (s : Instr.spec) ai =
+  match s with
+  | `Plain -> deref m w w.x.(ai)
+  | `Rigid | `Uncond ->
+    m.deref_skipped <- m.deref_skipped + 1;
+    w.x.(ai)
+
+let spec_bind m w (s : Instr.spec) a cell =
+  match s with
+  | `Uncond -> bind_nt m w a cell
+  | `Plain | `Rigid -> bind m w a cell
+
+let get_atomic m w (s : Instr.uspec) ai cell =
+  let s = (s :> Instr.spec) in
+  let d = spec_arg m w s ai in
+  if Cell.is_ref d then spec_bind m w s (Cell.payload d) cell
+  else if d <> cell || s = `Uncond then fail m w
+
+(* An [`Uncond] unification or builtin: every binding it makes is
+   certified unconditional, so [bind] skips trailing for exactly this
+   one instruction. *)
+let without_trail (w : worker) f =
+  w.no_trail <- true;
+  match f () with
+  | ok ->
+    w.no_trail <- false;
+    ok
+  | exception e ->
+    w.no_trail <- false;
+    raise e
+
 let step_core m (w : worker) instr =
   match instr with
   (* ---- put ---- *)
-  | Instr.Put_variable (Instr.X n, ai) ->
-    let a = fresh_heap_var m w in
+  | Instr.Put_variable (Instr.X n, ai, s) ->
+    let a =
+      match s with
+      | `Plain -> fresh_heap_var m w
+      | `Uncond -> uninit_heap_var m w
+    in
     w.x.(n) <- Cell.ref_ a;
     w.x.(ai) <- Cell.ref_ a
-  | Instr.Put_variable (Instr.Y n, ai) ->
+  | Instr.Put_variable (Instr.Y n, ai, s) ->
     let addr = w.e + 3 + n in
-    wr m w ~area:Trace.Area.Env_pvar addr (Cell.ref_ addr);
+    (match s with
+    | `Plain -> wr m w ~area:Trace.Area.Env_pvar addr (Cell.ref_ addr)
+    | `Uncond -> Memory.poke m.mem addr (Cell.ref_ addr));
     w.x.(ai) <- Cell.ref_ addr
   | Instr.Put_value (r, ai) -> w.x.(ai) <- get_reg m w r
   | Instr.Put_unsafe_value (y, ai) -> begin
@@ -938,56 +1008,44 @@ let step_core m (w : worker) instr =
     w.mode_write <- true
   (* ---- get ---- *)
   | Instr.Get_variable (r, ai) -> set_reg m w r w.x.(ai)
-  | Instr.Get_value (r, ai) ->
+  | Instr.Get_value (r, ai, `Plain) ->
     if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
-  | Instr.Get_constant (c, ai) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.con c)
-    | Cell.Con c' when c' = c -> ()
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_integer (n, ai) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.num n)
-    | Cell.Num n' when n' = n -> ()
-    | Cell.Num _ | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_nil ai -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.con m.nil_atom)
-    | Cell.Con c when c = m.nil_atom -> ()
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_structure (f, ai) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a ->
+  | Instr.Get_value (r, ai, `Rigid) ->
+    m.deref_skipped <- m.deref_skipped + 1;
+    if Cell.is_ref w.x.(ai) then fail m w
+    else if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
+  | Instr.Get_value (r, ai, `Uncond) ->
+    if not (without_trail w (fun () -> unify m w (get_reg m w r) w.x.(ai)))
+    then fail m w
+  | Instr.Get_constant (c, ai, s) -> get_atomic m w s ai (Cell.con c)
+  | Instr.Get_integer (n, ai, s) -> get_atomic m w s ai (Cell.num n)
+  | Instr.Get_nil (ai, s) -> get_atomic m w s ai (Cell.con m.nil_atom)
+  | Instr.Get_structure (f, ai, s) -> begin
+    match Cell.view (spec_arg m w s ai) with
+    | Cell.Ref a when s <> `Rigid ->
       let sa = hpush m w (Cell.fun_ f) in
-      bind m w a (Cell.str sa);
+      spec_bind m w s a (Cell.str sa);
       w.mode_write <- true
-    | Cell.Str sa ->
+    | Cell.Str sa when s <> `Uncond ->
       if rd_auto m w sa = Cell.fun_ f then begin
         w.s <- sa + 1;
         w.mode_write <- false
       end
       else fail m w
-    | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
+    | Cell.Ref _ | Cell.Str _ | Cell.Con _ | Cell.Lis _ | Cell.Num _
+    | Cell.Fun _ | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_list ai -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a ->
-      bind m w a (Cell.lis w.h);
+  | Instr.Get_list (ai, s) -> begin
+    match Cell.view (spec_arg m w s ai) with
+    | Cell.Ref a when s <> `Rigid ->
+      spec_bind m w s a (Cell.lis w.h);
       w.mode_write <- true
-    | Cell.Lis la ->
+    | Cell.Lis la when s <> `Uncond ->
       w.s <- la;
       w.mode_write <- false
-    | Cell.Con _ | Cell.Str _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
+    | Cell.Ref _ | Cell.Lis _ | Cell.Con _ | Cell.Str _ | Cell.Num _
+    | Cell.Fun _ | Cell.Raw _ ->
       fail m w
   end
   (* ---- unify ---- *)
@@ -1077,15 +1135,15 @@ let step_core m (w : worker) instr =
     m.halted <- true;
     w.status <- Halted
   (* ---- choice ---- *)
-  | Instr.Try l ->
+  | Instr.Try (l, false) ->
     m.cp_created <- m.cp_created + 1;
     push_choice_point m w ~next_alt:w.p;
     w.p <- l
-  | Instr.Retry l ->
+  | Instr.Retry (l, false) ->
     let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point w.b) in
     wr m w ~area:Trace.Area.Choice_point (w.b + n + 4) (Cell.raw w.p);
     w.p <- l
-  | Instr.Trust l ->
+  | Instr.Trust (l, false) ->
     let b = w.b in
     let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point b) in
     let prev = Cell.payload (rd m w ~area:Trace.Area.Choice_point (b + n + 3)) in
@@ -1107,8 +1165,8 @@ let step_core m (w : worker) instr =
     end;
     w.cst <- b;
     w.p <- l
-  (* ---- determinacy-certified chains ---- *)
-  | Instr.Det_try l ->
+  (* ---- determinacy-certified (shallow) chains ---- *)
+  | Instr.Try (l, true) ->
     let sh = w.shallow in
     if sh.sh_active then
       runtime_error "det_try: shallow frame already active (PE %d)" w.id;
@@ -1128,10 +1186,10 @@ let step_core m (w : worker) instr =
     sh.sh_nt_log <- [];
     m.cp_elided <- m.cp_elided + 1;
     w.p <- l
-  | Instr.Det_retry l ->
+  | Instr.Retry (l, true) ->
     w.shallow.sh_alt <- w.p;
     w.p <- l
-  | Instr.Det_trust l ->
+  | Instr.Trust (l, true) ->
     (* last alternative: from here a failure is a real failure *)
     w.shallow.sh_active <- false;
     w.shallow.sh_log <- [];
@@ -1196,131 +1254,10 @@ let step_core m (w : worker) instr =
     in
     cut_to_level m w target
   (* ---- escapes ---- *)
-  | Instr.Builtin (b, arity) ->
+  | Instr.Builtin (b, arity, `Plain) ->
     if not (exec_builtin m w b arity) then fail m w
-  | Instr.Builtin_nt (b, arity) ->
-    (* bindings certified unconditional: [bind] skips trailing for the
-       builtin's duration (the flag is scoped to this one escape) *)
-    w.no_trail <- true;
-    let ok =
-      try exec_builtin m w b arity
-      with e ->
-        w.no_trail <- false;
-        raise e
-    in
-    w.no_trail <- false;
-    if not ok then fail m w
-  (* ---- binding-certified specializations (lib/bindan) ---- *)
-  | Instr.Get_structure_r (f, ai) -> begin
-    (* rigid at depth 0: the register holds the final cell, no deref.
-       A Ref contradicts the certificate: fail rather than mis-read *)
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Str sa ->
-      if rd_auto m w sa = Cell.fun_ f then begin
-        w.s <- sa + 1;
-        w.mode_write <- false
-      end
-      else fail m w
-    | Cell.Ref _ | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_list_r ai -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Lis la ->
-      w.s <- la;
-      w.mode_write <- false
-    | Cell.Ref _ | Cell.Con _ | Cell.Str _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_value_r (r, ai) ->
-    m.deref_skipped <- m.deref_skipped + 1;
-    if Cell.is_ref w.x.(ai) then fail m w
-    else if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
-  | Instr.Get_value_u (r, ai) ->
-    (* full [Get_value] control semantics; every binding the
-       unification makes is certified unconditional, so [bind] skips
-       trailing for the instruction's duration (same scoping as
-       [Builtin_nt]) *)
-    w.no_trail <- true;
-    let ok =
-      try unify m w (get_reg m w r) w.x.(ai)
-      with e ->
-        w.no_trail <- false;
-        raise e
-    in
-    w.no_trail <- false;
-    if not ok then fail m w
-  | Instr.Get_structure_u (f, ai) -> begin
-    (* certified free and unconditional: the register holds a Ref to
-       an unbound depth-0 cell; overwrite it directly (no deref read,
-       no trail test or write).  A non-Ref contradicts the freeness
-       certificate *)
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a ->
-      let sa = hpush m w (Cell.fun_ f) in
-      bind_nt m w a (Cell.str sa);
-      w.mode_write <- true
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_list_u ai -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a ->
-      bind_nt m w a (Cell.lis w.h);
-      w.mode_write <- true
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_constant_u (c, ai) -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.con c)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_nil_u ai -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.con m.nil_atom)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_integer_u (n, ai) -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.num n)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Put_uninit (Instr.X n, ai) ->
-    (* uninitialized output: the self-reference init of the fresh heap
-       cell is dead (every consumer reaches it through a certified _u
-       overwrite before any read), so the cell is allocated with an
-       untraced store -- the heap write the baseline put_variable pays
-       is the reference this instruction deletes *)
-    if w.h >= Layout.heap_limit w.id then
-      runtime_error "heap overflow (PE %d)" w.id;
-    let a = w.h in
-    Memory.poke m.mem a (Cell.ref_ a);
-    w.h <- w.h + 1;
-    if w.h > w.max_h then w.max_h <- w.h;
-    w.x.(n) <- Cell.ref_ a;
-    w.x.(ai) <- Cell.ref_ a
-  | Instr.Put_uninit (Instr.Y n, ai) ->
-    let addr = w.e + 3 + n in
-    Memory.poke m.mem addr (Cell.ref_ addr);
-    w.x.(ai) <- Cell.ref_ addr
+  | Instr.Builtin (b, arity, `Uncond) ->
+    if not (without_trail w (fun () -> exec_builtin m w b arity)) then fail m w
   (* ---- CGE checks ---- *)
   | Instr.Check_ground (r, l) ->
     if not (is_ground m w (get_reg m w r)) then w.p <- l

@@ -7,9 +7,21 @@
 
 type reg = X of int | Y of int
 
+(* Binding-certified specializations (lib/bindan): the analysis proves
+   an argument's instantiation and binding conditionality at compile
+   time, so the generic deref / trail-test / heap-cell work can be
+   dropped.  [`Rigid] reads a rigid depth-0 argument (the register
+   already holds a non-reference cell: no deref loop, a Ref is a
+   certified-fact violation and fails).  [`Uncond] binds without the
+   trail test or write: a get overwrites a certified-free
+   self-reference directly, a put skips the dead self-reference init.
+   Each base carries only the specs the compiler can emit for it. *)
+type spec = [ `Plain | `Rigid | `Uncond ]
+type uspec = [ `Plain | `Uncond ]
+
 type t =
   (* put group: load argument registers before a call *)
-  | Put_variable of reg * int
+  | Put_variable of reg * int * uspec
   | Put_value of reg * int
   | Put_unsafe_value of int * int (* Y index, A *)
   | Put_constant of int * int (* atom id, A *)
@@ -19,12 +31,12 @@ type t =
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
-  | Get_value of reg * int
-  | Get_constant of int * int
-  | Get_integer of int * int
-  | Get_nil of int
-  | Get_structure of int * int
-  | Get_list of int
+  | Get_value of reg * int * spec
+  | Get_constant of int * int * uspec
+  | Get_integer of int * int * uspec
+  | Get_nil of int * uspec
+  | Get_structure of int * int * spec
+  | Get_list of int * spec
   (* unify group: structure arguments, in read or write mode *)
   | Unify_variable of reg
   | Unify_value of reg
@@ -42,37 +54,14 @@ type t =
   | Jump of int
   | Halt_ok (* query succeeded *)
   (* choice *)
-  | Try of int
-  | Retry of int
-  | Trust of int
-  (* determinacy-certified chains (lib/detan): same alternative layout
-     as try/retry/trust, but the frame is a worker-private shallow
-     snapshot (registers + an undo log) — no choice-point-area words
-     are written and nothing is trailed until the clause commits *)
-  | Det_try of int
-  | Det_retry of int
-  | Det_trust of int
-  (* binding-certified specializations (lib/bindan): the analysis
-     proves an argument's instantiation and binding conditionality at
-     compile time, so the generic deref / trail-test / heap-cell work
-     can be dropped.  [_r] variants read a rigid depth-0 argument (the
-     register already holds a non-reference cell: no deref loop, a Ref
-     is a certified-fact violation and fails).  [_u] variants bind a
-     certified-unconditional free argument (a self-reference the caller
-     created after every enclosing choice point and parcall trail
-     floor): the cell is overwritten directly, no deref read and no
-     trail test or write *)
-  | Get_structure_r of int * int
-  | Get_list_r of int
-  | Get_value_r of reg * int
-  | Get_structure_u of int * int
-  | Get_list_u of int
-  | Get_constant_u of int * int
-  | Get_integer_u of int * int
-  | Get_nil_u of int
-  | Builtin_nt of Builtin.t * int
-  | Put_uninit of reg * int
-  | Get_value_u of reg * int
+  (* the shallow flag marks a determinacy-certified chain (lib/detan):
+     same alternative layout, but the frame is a worker-private
+     shallow snapshot (registers + an undo log) — no choice-point-area
+     words are written and nothing is trailed until the clause
+     commits *)
+  | Try of int * bool
+  | Retry of int * bool
+  | Trust of int * bool
   (* indexing *)
   | Switch_on_term of {
       var_l : int;
@@ -89,7 +78,7 @@ type t =
   | Get_level of int (* Yn := B0 *)
   | Cut_to of int (* cut to choice point saved in Yn *)
   (* escapes *)
-  | Builtin of Builtin.t * int (* builtin, arity *)
+  | Builtin of Builtin.t * int * uspec (* builtin, arity *)
   (* RAP-WAM parallel extensions *)
   | Check_ground of reg * int (* else-label: run sequential version *)
   | Check_indep of reg * reg * int
@@ -99,8 +88,16 @@ type t =
   | Par_join
   | Goal_done (* return point of a parallel goal *)
 
+(* The specialized forms keep the numbers they had as separate
+   opcodes (47-60), so frequency tables and listings are unchanged. *)
+let by_spec (s : spec) plain rigid uncond =
+  match s with `Plain -> plain | `Rigid -> rigid | `Uncond -> uncond
+
+let by_uspec (s : uspec) plain uncond =
+  match s with `Plain -> plain | `Uncond -> uncond
+
 let opcode = function
-  | Put_variable _ -> 0
+  | Put_variable (_, _, s) -> by_uspec s 0 58
   | Put_value _ -> 1
   | Put_unsafe_value _ -> 2
   | Put_constant _ -> 3
@@ -109,12 +106,12 @@ let opcode = function
   | Put_structure _ -> 6
   | Put_list _ -> 7
   | Get_variable _ -> 8
-  | Get_value _ -> 9
-  | Get_constant _ -> 10
-  | Get_integer _ -> 11
-  | Get_nil _ -> 12
-  | Get_structure _ -> 13
-  | Get_list _ -> 14
+  | Get_value (_, _, s) -> by_spec s 9 52 60
+  | Get_constant (_, _, s) -> by_uspec s 10 55
+  | Get_integer (_, _, s) -> by_uspec s 11 59
+  | Get_nil (_, s) -> by_uspec s 12 56
+  | Get_structure (_, _, s) -> by_spec s 13 50 53
+  | Get_list (_, s) -> by_spec s 14 51 54
   | Unify_variable _ -> 15
   | Unify_value _ -> 16
   | Unify_local_value _ -> 17
@@ -129,9 +126,9 @@ let opcode = function
   | Proceed -> 26
   | Jump _ -> 27
   | Halt_ok -> 28
-  | Try _ -> 29
-  | Retry _ -> 30
-  | Trust _ -> 31
+  | Try (_, sh) -> if sh then 47 else 29
+  | Retry (_, sh) -> if sh then 48 else 30
+  | Trust (_, sh) -> if sh then 49 else 31
   | Switch_on_term _ -> 32
   | Switch_on_constant _ -> 33
   | Switch_on_integer _ -> 34
@@ -139,7 +136,7 @@ let opcode = function
   | Neck_cut -> 36
   | Get_level _ -> 37
   | Cut_to _ -> 38
-  | Builtin _ -> 39
+  | Builtin (_, _, s) -> by_uspec s 39 57
   | Check_ground _ -> 40
   | Check_indep _ -> 41
   | Alloc_parcall _ -> 42
@@ -147,86 +144,49 @@ let opcode = function
   | Par_join -> 44
   | Goal_done -> 45
   | Check_size _ -> 46
-  | Det_try _ -> 47
-  | Det_retry _ -> 48
-  | Det_trust _ -> 49
-  | Get_structure_r _ -> 50
-  | Get_list_r _ -> 51
-  | Get_value_r _ -> 52
-  | Get_structure_u _ -> 53
-  | Get_list_u _ -> 54
-  | Get_constant_u _ -> 55
-  | Get_nil_u _ -> 56
-  | Builtin_nt _ -> 57
-  | Put_uninit _ -> 58
-  | Get_integer_u _ -> 59
-  | Get_value_u _ -> 60
 
-let opcode_count = 61
+let names =
+  [|
+    "put_variable"; "put_value"; "put_unsafe_value"; "put_constant";
+    "put_integer"; "put_nil"; "put_structure"; "put_list"; "get_variable";
+    "get_value"; "get_constant"; "get_integer"; "get_nil"; "get_structure";
+    "get_list"; "unify_variable"; "unify_value"; "unify_local_value";
+    "unify_constant"; "unify_integer"; "unify_nil"; "unify_void"; "allocate";
+    "deallocate"; "call"; "execute"; "proceed"; "jump"; "halt"; "try";
+    "retry"; "trust"; "switch_on_term"; "switch_on_constant";
+    "switch_on_integer"; "switch_on_structure"; "neck_cut"; "get_level";
+    "cut_to"; "builtin"; "check_ground"; "check_indep"; "alloc_parcall";
+    "push_goal"; "par_join"; "goal_done"; "check_size"; "det_try";
+    "det_retry"; "det_trust"; "get_structure_r"; "get_list_r";
+    "get_value_r"; "get_structure_u"; "get_list_u"; "get_constant_u";
+    "get_nil_u"; "builtin_nt"; "put_uninit"; "get_integer_u"; "get_value_u";
+  |]
 
-let opcode_name = function
-  | 0 -> "put_variable"
-  | 1 -> "put_value"
-  | 2 -> "put_unsafe_value"
-  | 3 -> "put_constant"
-  | 4 -> "put_integer"
-  | 5 -> "put_nil"
-  | 6 -> "put_structure"
-  | 7 -> "put_list"
-  | 8 -> "get_variable"
-  | 9 -> "get_value"
-  | 10 -> "get_constant"
-  | 11 -> "get_integer"
-  | 12 -> "get_nil"
-  | 13 -> "get_structure"
-  | 14 -> "get_list"
-  | 15 -> "unify_variable"
-  | 16 -> "unify_value"
-  | 17 -> "unify_local_value"
-  | 18 -> "unify_constant"
-  | 19 -> "unify_integer"
-  | 20 -> "unify_nil"
-  | 21 -> "unify_void"
-  | 22 -> "allocate"
-  | 23 -> "deallocate"
-  | 24 -> "call"
-  | 25 -> "execute"
-  | 26 -> "proceed"
-  | 27 -> "jump"
-  | 28 -> "halt"
-  | 29 -> "try"
-  | 30 -> "retry"
-  | 31 -> "trust"
-  | 32 -> "switch_on_term"
-  | 33 -> "switch_on_constant"
-  | 34 -> "switch_on_integer"
-  | 35 -> "switch_on_structure"
-  | 36 -> "neck_cut"
-  | 37 -> "get_level"
-  | 38 -> "cut_to"
-  | 39 -> "builtin"
-  | 40 -> "check_ground"
-  | 41 -> "check_indep"
-  | 42 -> "alloc_parcall"
-  | 43 -> "push_goal"
-  | 44 -> "par_join"
-  | 45 -> "goal_done"
-  | 46 -> "check_size"
-  | 47 -> "det_try"
-  | 48 -> "det_retry"
-  | 49 -> "det_trust"
-  | 50 -> "get_structure_r"
-  | 51 -> "get_list_r"
-  | 52 -> "get_value_r"
-  | 53 -> "get_structure_u"
-  | 54 -> "get_list_u"
-  | 55 -> "get_constant_u"
-  | 56 -> "get_nil_u"
-  | 57 -> "builtin_nt"
-  | 58 -> "put_uninit"
-  | 59 -> "get_integer_u"
-  | 60 -> "get_value_u"
-  | n -> Printf.sprintf "op%d" n
+let opcode_count = Array.length names
+
+let opcode_name n =
+  if n >= 0 && n < opcode_count then names.(n) else Printf.sprintf "op%d" n
+
+let spec : t -> spec = function
+  | Get_value (_, _, s) | Get_structure (_, _, s) | Get_list (_, s) -> s
+  | Put_variable (_, _, s)
+  | Get_constant (_, _, s)
+  | Get_integer (_, _, s)
+  | Get_nil (_, s)
+  | Builtin (_, _, s) ->
+    (s :> spec)
+  | _ -> `Plain
+
+let plain = function
+  | Put_variable (r, a, _) -> Put_variable (r, a, `Plain)
+  | Get_value (r, a, _) -> Get_value (r, a, `Plain)
+  | Get_constant (c, a, _) -> Get_constant (c, a, `Plain)
+  | Get_integer (n, a, _) -> Get_integer (n, a, `Plain)
+  | Get_nil (a, _) -> Get_nil (a, `Plain)
+  | Get_structure (f, a, _) -> Get_structure (f, a, `Plain)
+  | Get_list (a, _) -> Get_list (a, `Plain)
+  | Builtin (b, n, _) -> Builtin (b, n, `Plain)
+  | i -> i
 
 let pp_reg fmt = function
   | X n -> Format.fprintf fmt "X%d" n
@@ -235,18 +195,14 @@ let pp_reg fmt = function
 let pp fmt i =
   let name = opcode_name (opcode i) in
   match i with
-  | Put_variable (r, a) | Put_value (r, a) | Get_variable (r, a)
-  | Get_value (r, a) | Get_value_r (r, a) | Get_value_u (r, a)
-  | Put_uninit (r, a) ->
+  | Put_variable (r, a, _) | Put_value (r, a) | Get_variable (r, a)
+  | Get_value (r, a, _) ->
     Format.fprintf fmt "%s %a, A%d" name pp_reg r a
   | Put_unsafe_value (y, a) -> Format.fprintf fmt "%s Y%d, A%d" name y a
   | Put_constant (c, a) | Put_integer (c, a) | Put_structure (c, a)
-  | Get_constant (c, a) | Get_integer (c, a) | Get_structure (c, a)
-  | Get_structure_r (c, a) | Get_structure_u (c, a) | Get_constant_u (c, a)
-  | Get_integer_u (c, a) ->
+  | Get_constant (c, a, _) | Get_integer (c, a, _) | Get_structure (c, a, _) ->
     Format.fprintf fmt "%s %d, A%d" name c a
-  | Put_nil a | Put_list a | Get_nil a | Get_list a | Get_list_r a
-  | Get_list_u a | Get_nil_u a ->
+  | Put_nil a | Put_list a | Get_nil (a, _) | Get_list (a, _) ->
     Format.fprintf fmt "%s A%d" name a
   | Unify_variable r | Unify_value r | Unify_local_value r ->
     Format.fprintf fmt "%s %a" name pp_reg r
@@ -254,9 +210,8 @@ let pp fmt i =
   | Unify_nil | Deallocate | Proceed | Halt_ok | Neck_cut | Par_join
   | Goal_done ->
     Format.pp_print_string fmt name
-  | Unify_void n | Allocate n | Call n | Execute n | Jump n | Try n
-  | Retry n | Trust n | Det_try n | Det_retry n | Det_trust n
-  | Get_level n | Cut_to n ->
+  | Unify_void n | Allocate n | Call n | Execute n | Jump n | Try (n, _)
+  | Retry (n, _) | Trust (n, _) | Get_level n | Cut_to n ->
     Format.fprintf fmt "%s %d" name n
   | Alloc_parcall (k, join) ->
     Format.fprintf fmt "%s %d, join:%d" name k join
@@ -271,8 +226,7 @@ let pp fmt i =
          (Array.to_list
             (Array.map (fun (k, l) -> Printf.sprintf "%d->%d" k l) tbl)))
       d
-  | Builtin (b, n) | Builtin_nt (b, n) ->
-    Format.fprintf fmt "%s %s/%d" name (Builtin.name b) n
+  | Builtin (b, n, _) -> Format.fprintf fmt "%s %s/%d" name (Builtin.name b) n
   | Check_ground (r, l) -> Format.fprintf fmt "%s %a, else:%d" name pp_reg r l
   | Check_indep (r1, r2, l) ->
     Format.fprintf fmt "%s %a, %a, else:%d" name pp_reg r1 pp_reg r2 l

@@ -6,9 +6,28 @@ type reg =
   | X of int  (** temporary/argument register (no memory traffic) *)
   | Y of int  (** permanent variable slot in the environment *)
 
+(** Binding-certified specialization of a base instruction (lib/bindan
+    proves the fact at compile time; the compiler only emits a spec
+    the base instruction has a form for):
+    - [`Plain]: the base instruction;
+    - [`Rigid] ([_r]): the argument register holds a non-reference
+      cell at deref depth 0, so the argument deref loop is skipped.
+      A Ref contradicts the certificate and fails;
+    - [`Uncond] ([_u], [builtin_nt], [put_uninit]): every binding the
+      instruction makes is unconditional — the cell was created after
+      every enclosing choice point and parcall trail floor — so the
+      trail test and write are elided.  A get with a free argument
+      overwrites the self-reference directly (no deref read); a put
+      creates the cell with an untraced store, its self-reference
+      initialization being dead. *)
+type spec = [ `Plain | `Rigid | `Uncond ]
+
+type uspec = [ `Plain | `Uncond ]
+(** The specs of base instructions with no rigid form. *)
+
 type t =
   (* put group: load argument registers before a call *)
-  | Put_variable of reg * int
+  | Put_variable of reg * int * uspec
       (** create an unbound variable (heap for X, environment for Y)
           and load it into A_i *)
   | Put_value of reg * int
@@ -22,13 +41,13 @@ type t =
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
-  | Get_value of reg * int
-  | Get_constant of int * int
-  | Get_integer of int * int
-  | Get_nil of int
-  | Get_structure of int * int
+  | Get_value of reg * int * spec
+  | Get_constant of int * int * uspec
+  | Get_integer of int * int * uspec
+  | Get_nil of int * uspec
+  | Get_structure of int * int * spec
       (** read mode on a matching structure, write mode on a variable *)
-  | Get_list of int
+  | Get_list of int * spec
   (* unify group: structure arguments, read or write mode *)
   | Unify_variable of reg
   | Unify_value of reg
@@ -48,51 +67,18 @@ type t =
   | Jump of int
   | Halt_ok  (** the query succeeded *)
   (* choice *)
-  | Try of int  (** push a choice point, continue at the label *)
-  | Retry of int  (** update the alternative, continue at the label *)
-  | Trust of int  (** pop the choice point, continue at the label *)
-  | Det_try of int
-      (** enter a determinacy-certified chain: snapshot the registers
-          into the worker-private shallow frame (no choice-point words
-          written, nothing trailed until the clause commits) *)
-  | Det_retry of int
-      (** shallow analogue of [Retry]: update the frame's alternative *)
-  | Det_trust of int
-      (** deactivate the shallow frame and run the last alternative *)
-  (* binding-certified specializations (lib/bindan) *)
-  | Get_structure_r of int * int
-      (** [Get_structure] for an argument certified rigid at deref
-          depth 0: the register holds a non-reference cell, so the
-          deref loop is skipped entirely.  A Ref cell contradicts the
-          certificate and fails *)
-  | Get_list_r of int
-  | Get_value_r of reg * int
-      (** depth-0 rigid [Get_value]: full unification without first
-          dereferencing the argument register *)
-  | Get_structure_u of int * int
-      (** [Get_structure] for an argument certified free and
-          unconditional (the caller created the cell after every
-          enclosing choice point and parcall trail floor): overwrite
-          the self-reference directly — no deref read, no trail test,
-          no trail write *)
-  | Get_list_u of int
-  | Get_constant_u of int * int
-  | Get_integer_u of int * int
-  | Get_nil_u of int
-  | Builtin_nt of Builtin.t * int
-      (** builtin whose bindings are certified unconditional: the
-          worker's bind skips trailing for the builtin's duration *)
-  | Put_uninit of reg * int
-      (** [Put_variable] for an output argument every consumer reads
-          through a certified [_u] write: the heap cell's
-          self-reference initialization is dead (the first real access
-          is the callee's overwrite), so it is elided — the cell is
-          allocated with an untraced store *)
-  | Get_value_u of reg * int
-      (** [Get_value] whose bindings are certified unconditional (no
-          live choice point can predate any cell the unification
-          touches): full unification semantics, every trail test and
-          write elided for the instruction's duration *)
+  | Try of int * bool
+      (** push a choice point, continue at the label.  With the shallow
+          flag (a determinacy-certified chain, lib/detan) the registers
+          are snapshotted into the worker-private shallow frame
+          instead: no choice-point words written, nothing trailed until
+          the clause commits *)
+  | Retry of int * bool
+      (** update the alternative (of the shallow frame when shallow),
+          continue at the label *)
+  | Trust of int * bool
+      (** pop the choice point (deactivate the shallow frame), continue
+          at the label *)
   (* indexing *)
   | Switch_on_term of {
       var_l : int;
@@ -111,7 +97,8 @@ type t =
   | Get_level of int  (** Y_n := B0 *)
   | Cut_to of int  (** discard down to the level saved in Y_n *)
   (* escapes *)
-  | Builtin of Builtin.t * int  (** builtin, arity (args in A1..An) *)
+  | Builtin of Builtin.t * int * uspec
+      (** builtin, arity (args in A1..An) *)
   (* RAP-WAM parallel extensions *)
   | Check_ground of reg * int
       (** jump to the sequential version unless the register holds a
@@ -136,7 +123,19 @@ type t =
   | Goal_done  (** return point of popped and stolen goals *)
 
 val opcode : t -> int
+(** Opcode number of a (base, spec) pair: the base instructions are
+    0–46, the shallow chain forms 47–49 and the binding
+    specializations 50–60. *)
+
 val opcode_count : int
 val opcode_name : int -> string
+
+val spec : t -> spec
+(** The instruction's spec; [`Plain] for bases without the field. *)
+
+val plain : t -> t
+(** The base instruction: the same operands with spec [`Plain]
+    (the shallow flag is kept). *)
+
 val pp_reg : Format.formatter -> reg -> unit
 val pp : Format.formatter -> t -> unit

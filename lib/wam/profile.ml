@@ -22,34 +22,27 @@ type counters = {
   mutable calls : int;
   mutable instrs : int;  (** instruction fetches in this range *)
   mutable cp_created : int;  (** try fetches: choice points pushed *)
-  mutable cp_elided : int;  (** det_try fetches: certified chains *)
-  mutable trail_elided : int;
-      (** fetches of binding-certified instructions that skip the
-          trail check ([_u] gets, builtin_nt, put_uninit) *)
-  mutable deref_skipped : int;
-      (** fetches of [_r]/[_u] gets that skip the argument deref *)
+  mutable cp_elided : int;  (** shallow try fetches: certified chains *)
+  mutable trail_elided : int;  (** fetches whose spec elides the trail *)
+  mutable deref_skipped : int;  (** fetches whose spec elides the deref *)
   refs : int array;  (** data references, indexed by [Trace.Area.to_int] *)
 }
 
 type t = {
   symbols : Symbols.t;
   code : Code.t;  (** for decoding fetched instructions *)
-  bounds : int array;  (** sorted entry indices, one per predicate *)
-  owners : counters array;  (** owner of [bounds.(i) ..] *)
+  ranges : (int * int) array;  (** [Code.ranges] *)
+  owners : counters array;  (** owner of [ranges.(i)] *)
   other : int array;  (** data refs with no current predicate *)
   current : counters option array;  (** per-PE attribution target *)
 }
 
 let create symbols code =
-  let entries = ref [] in
-  Code.iter_entries code (fun fid addr -> entries := (addr, fid) :: !entries);
-  let entries =
-    Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) !entries)
-  in
+  let ranges = Code.ranges code in
   {
     symbols;
     code;
-    bounds = Array.map fst entries;
+    ranges;
     owners =
       Array.map
         (fun (entry, fid) ->
@@ -64,23 +57,13 @@ let create symbols code =
             deref_skipped = 0;
             refs = Array.make Trace.Area.count 0;
           })
-        entries;
+        ranges;
     other = Array.make Trace.Area.count 0;
     current = Array.make (Trace.Ref_record.max_pe + 1) None;
   }
 
-(* Greatest entry <= idx, by binary search; None below the first. *)
 let owner t idx =
-  let n = Array.length t.bounds in
-  if n = 0 || idx < t.bounds.(0) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let m = (!lo + !hi + 1) / 2 in
-      if t.bounds.(m) <= idx then lo := m else hi := m - 1
-    done;
-    Some t.owners.(!lo)
-  end
+  Option.map (fun i -> t.owners.(i)) (Code.range_of t.ranges idx)
 
 let on_record t (r : Trace.Ref_record.t) =
   if r.Trace.Ref_record.area = Trace.Area.Code then begin
@@ -91,19 +74,14 @@ let on_record t (r : Trace.Ref_record.t) =
       p.instrs <- p.instrs + 1;
       if idx = p.entry then p.calls <- p.calls + 1;
       if idx >= 0 && idx < Code.length t.code then begin
-        match Code.fetch t.code idx with
-        | Instr.Try _ -> p.cp_created <- p.cp_created + 1
-        | Instr.Det_try _ -> p.cp_elided <- p.cp_elided + 1
-        | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-          ->
-          p.deref_skipped <- p.deref_skipped + 1
-        | Instr.Get_structure_u _ | Instr.Get_list_u _
-        | Instr.Get_constant_u _ | Instr.Get_integer_u _ | Instr.Get_nil_u _ ->
-          p.deref_skipped <- p.deref_skipped + 1;
-          p.trail_elided <- p.trail_elided + 1
-        | Instr.Builtin_nt _ | Instr.Put_uninit _ | Instr.Get_value_u _ ->
-          p.trail_elided <- p.trail_elided + 1
-        | _ -> ()
+        let i = Code.fetch t.code idx in
+        (match i with
+        | Instr.Try (_, false) -> p.cp_created <- p.cp_created + 1
+        | Instr.Try (_, true) -> p.cp_elided <- p.cp_elided + 1
+        | _ -> ());
+        let e = Access.elided i in
+        if e.Access.deref then p.deref_skipped <- p.deref_skipped + 1;
+        if e.Access.trail then p.trail_elided <- p.trail_elided + 1
       end
     | None -> t.current.(r.Trace.Ref_record.pe) <- None
   end

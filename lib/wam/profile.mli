@@ -13,12 +13,14 @@ type counters = {
   mutable instrs : int;
   mutable cp_created : int;  (** [try] fetches: choice points pushed *)
   mutable cp_elided : int;
-      (** [det_try] fetches: certified chains entered shallow instead *)
+      (** shallow [try] ([det_try]) fetches: certified chains entered
+          shallow instead *)
   mutable trail_elided : int;
-      (** fetches of binding-certified instructions that skip the trail
-          check ([_u] gets, [builtin_nt], [put_uninit]) *)
+      (** fetches of instructions whose spec elides the trail work
+          ({!Access.elided}: [_u] gets, [builtin_nt], [put_uninit]) *)
   mutable deref_skipped : int;
-      (** fetches of [_r]/[_u] gets that skip the argument dereference *)
+      (** fetches of instructions whose spec elides the argument
+          dereference ([_r] gets, [_u] gets other than [get_value_u]) *)
   refs : int array;  (** data references, indexed by [Trace.Area.to_int] *)
 }
 

@@ -126,33 +126,25 @@ let check symbols code =
         end
     end
   in
-  (* ---- structural pre-pass: retry/trust must continue a chain ---- *)
+  (* ---- structural pre-pass: retry/trust must continue a chain.
+     Shallow chains may not mix with plain ones: the shallow frame and
+     the choice point have different layouts ---- *)
+  let det sh = if sh then "det_" else "" in
   for addr = 0 to len - 1 do
     match Code.fetch code addr with
-    | Instr.Retry _ | Instr.Trust _ ->
+    | Instr.Retry (_, sh) | Instr.Trust (_, sh) ->
       let chained =
         addr > 0
         &&
         match Code.fetch code (addr - 1) with
-        | Instr.Try _ | Instr.Retry _ -> true
+        | Instr.Try (_, sh') | Instr.Retry (_, sh') -> sh = sh'
         | _ -> false
       in
-      if not chained then
+      if not chained then begin
+        let d = det sh in
         report ~addr ~pred:"" ~rule:"broken-chain"
-          "retry/trust not preceded by try/retry"
-    | Instr.Det_retry _ | Instr.Det_trust _ ->
-      (* det chains may not mix with plain ones: the shallow frame and
-         the choice point have different layouts *)
-      let chained =
-        addr > 0
-        &&
-        match Code.fetch code (addr - 1) with
-        | Instr.Det_try _ | Instr.Det_retry _ -> true
-        | _ -> false
-      in
-      if not chained then
-        report ~addr ~pred:"" ~rule:"broken-chain"
-          "det_retry/det_trust not preceded by det_try/det_retry"
+          "%sretry/%strust not preceded by %stry/%sretry" d d d d
+      end
     | _ -> ()
   done;
   (* ---- dataflow ---- *)
@@ -254,8 +246,7 @@ let check symbols code =
        update or pop was never pushed (the shape a buggy chain rewrite
        leaves behind) *)
     (match instr with
-    | Instr.Retry _ | Instr.Trust _ | Instr.Det_retry _ | Instr.Det_trust _
-      ->
+    | Instr.Retry _ | Instr.Trust _ ->
       if not st.in_chain then
         report "orphan-chain"
           "%s reachable with no live preceding try on some path"
@@ -264,7 +255,7 @@ let check symbols code =
     let st = { st with in_chain = false } in
     match instr with
     (* ---- put group ---- *)
-    | Instr.Put_variable (r, a) ->
+    | Instr.Put_variable (r, a, _) ->
       let st = exit_struct st in
       next (def_x (def_reg st r) a)
     | Instr.Put_value (r, a) ->
@@ -286,52 +277,20 @@ let check symbols code =
       let st = exit_struct st in
       use_x st a;
       next (def_reg st r)
-    | Instr.Get_value (r, a) ->
+    | Instr.Get_value (r, a, _) ->
       let st = exit_struct st in
       use_reg st r;
       use_x st a;
       next st
-    | Instr.Get_constant (_, a)
-    | Instr.Get_integer (_, a)
-    | Instr.Get_nil a ->
+    | Instr.Get_constant (_, a, _)
+    | Instr.Get_integer (_, a, _)
+    | Instr.Get_nil (a, _) ->
       let st = exit_struct st in
       use_x st a;
       next st
-    | Instr.Get_structure (_, a) | Instr.Get_list a ->
+    | Instr.Get_structure (_, a, _) | Instr.Get_list (a, _) ->
       use_x st a;
       next { st with in_struct = true }
-    (* ---- binding-certified specializations (lib/bindan) ---- *)
-    | Instr.Put_uninit (r, a) ->
-      let st = exit_struct st in
-      next (def_x (def_reg st r) a)
-    | Instr.Get_value_r (r, a) | Instr.Get_value_u (r, a) ->
-      let st = exit_struct st in
-      use_reg st r;
-      use_x st a;
-      next st
-    | Instr.Get_constant_u (_, a) | Instr.Get_integer_u (_, a)
-    | Instr.Get_nil_u a ->
-      let st = exit_struct st in
-      use_x st a;
-      next st
-    | Instr.Get_structure_r (_, a) | Instr.Get_list_r a
-    | Instr.Get_structure_u (_, a) | Instr.Get_list_u a ->
-      use_x st a;
-      next { st with in_struct = true }
-    | Instr.Builtin_nt (b, n) ->
-      let st = exit_struct st in
-      use_args st n;
-      (* the trail-elision certificate only covers builtins whose
-         bindings the binding analysis can see: =/2 and is/2.  Anything
-         else here is a compiler-bridge bug (the not-unify trial-undo
-         protocol in particular must never run untrailed) *)
-      (match b with
-      | Builtin.Unify | Builtin.Is -> ()
-      | _ ->
-        report "nt-builtin" "builtin_nt %s/%d: only =/2 and is/2 may run \
-                             with trailing elided"
-          (Builtin.name b) n);
-      next st
     (* ---- unify group ---- *)
     | Instr.Unify_variable r ->
       need_struct st;
@@ -424,33 +383,21 @@ let check symbols code =
     | Instr.Jump l -> [ (l, exit_struct st) ]
     | Instr.Halt_ok -> []
     (* ---- choice ---- *)
-    | Instr.Try l | Instr.Retry l ->
+    | Instr.Try (l, sh) | Instr.Retry (l, sh) ->
       let st = exit_struct st in
       (* the chain continues; the target runs with A1..An restored *)
       (if addr + 1 < len then
          match Code.fetch code (addr + 1) with
-         | Instr.Retry _ | Instr.Trust _ -> ()
+         | (Instr.Retry (_, sh') | Instr.Trust (_, sh')) when sh' = sh -> ()
          | _ ->
-           report "broken-chain"
-             "try/retry not followed by retry/trust");
+           let d = det sh in
+           report "broken-chain" "%stry/%sretry not followed by %sretry/%strust"
+             d d d d);
       [
         (l, entry_state ~nargs:st.nargs);
         (addr + 1, { st with in_chain = true });
       ]
-    | Instr.Trust l -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
-    | Instr.Det_try l | Instr.Det_retry l ->
-      let st = exit_struct st in
-      (if addr + 1 < len then
-         match Code.fetch code (addr + 1) with
-         | Instr.Det_retry _ | Instr.Det_trust _ -> ()
-         | _ ->
-           report "broken-chain"
-             "det_try/det_retry not followed by det_retry/det_trust");
-      [
-        (l, entry_state ~nargs:st.nargs);
-        (addr + 1, { st with in_chain = true });
-      ]
-    | Instr.Det_trust l -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
+    | Instr.Trust (l, _) -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
     (* ---- indexing ---- *)
     | Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
       let st = exit_struct st in
@@ -495,9 +442,19 @@ let check symbols code =
       | _ -> ());
       next st
     (* ---- escapes ---- *)
-    | Instr.Builtin (_, n) ->
+    | Instr.Builtin (b, n, s) ->
       let st = exit_struct st in
       use_args st n;
+      (* the trail-elision certificate only covers builtins whose
+         bindings the binding analysis can see: =/2 and is/2.  Anything
+         else here is a compiler-bridge bug (the not-unify trial-undo
+         protocol in particular must never run untrailed) *)
+      (match (s, b) with
+      | `Plain, _ | `Uncond, (Builtin.Unify | Builtin.Is) -> ()
+      | `Uncond, _ ->
+        report "nt-builtin" "builtin_nt %s/%d: only =/2 and is/2 may run \
+                             with trailing elided"
+          (Builtin.name b) n);
       next st
     (* ---- RAP-WAM ---- *)
     | Instr.Check_ground (r, l) ->
@@ -574,15 +531,12 @@ let check symbols code =
   (* Seed: the fixed return points, then every predicate entry. *)
   schedule ~pred:"$halt" Compile.halt_addr (entry_state ~nargs:0);
   schedule ~pred:"$goal_done" Compile.goal_done_addr (entry_state ~nargs:0);
-  let entries = ref [] in
-  Code.iter_entries code (fun fid addr ->
-      entries := (fid, addr) :: !entries);
-  List.iter
-    (fun (fid, addr) ->
+  Array.iter
+    (fun (addr, fid) ->
       let nargs = Symbols.functor_arity symbols fid in
       schedule ~pred:(Symbols.spec_string symbols fid) addr
         (entry_state ~nargs))
-    (List.sort compare !entries);
+    (Code.ranges code);
   while not (Queue.is_empty worklist) do
     let addr = Queue.pop worklist in
     match Hashtbl.find_opt states addr with

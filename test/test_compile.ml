@@ -185,6 +185,121 @@ let test_listing_renders () =
   Alcotest.(check bool) "has label" true (contains s "append/3");
   Alcotest.(check bool) "has get_list" true (contains s "get_list")
 
+(* ---- the instruction table: (base, spec) pairs ---- *)
+
+(* One instance of every (base, spec) pair, in opcode order.  The
+   specialized pairs keep the numbers and names they had as separate
+   opcodes, so frequency tables and listings stay comparable. *)
+let table =
+  let open Wam.Instr in
+  let b = Wam.Builtin.Unify in
+  [
+    (Put_variable (X 3, 1, `Plain), "put_variable");
+    (Put_value (X 3, 1), "put_value");
+    (Put_unsafe_value (0, 1), "put_unsafe_value");
+    (Put_constant (0, 1), "put_constant");
+    (Put_integer (7, 1), "put_integer");
+    (Put_nil 1, "put_nil");
+    (Put_structure (0, 1), "put_structure");
+    (Put_list 1, "put_list");
+    (Get_variable (X 3, 1), "get_variable");
+    (Get_value (X 3, 1, `Plain), "get_value");
+    (Get_constant (0, 1, `Plain), "get_constant");
+    (Get_integer (7, 1, `Plain), "get_integer");
+    (Get_nil (1, `Plain), "get_nil");
+    (Get_structure (0, 1, `Plain), "get_structure");
+    (Get_list (1, `Plain), "get_list");
+    (Unify_variable (X 3), "unify_variable");
+    (Unify_value (X 3), "unify_value");
+    (Unify_local_value (X 3), "unify_local_value");
+    (Unify_constant 0, "unify_constant");
+    (Unify_integer 7, "unify_integer");
+    (Unify_nil, "unify_nil");
+    (Unify_void 2, "unify_void");
+    (Allocate 2, "allocate");
+    (Deallocate, "deallocate");
+    (Call 0, "call");
+    (Execute 0, "execute");
+    (Proceed, "proceed");
+    (Jump 5, "jump");
+    (Halt_ok, "halt");
+    (Try (5, false), "try");
+    (Retry (5, false), "retry");
+    (Trust (5, false), "trust");
+    ( Switch_on_term { var_l = 1; con_l = 2; int_l = 3; lis_l = 4; str_l = 5 },
+      "switch_on_term" );
+    (Switch_on_constant ([||], -1), "switch_on_constant");
+    (Switch_on_integer ([||], -1), "switch_on_integer");
+    (Switch_on_structure ([||], -1), "switch_on_structure");
+    (Neck_cut, "neck_cut");
+    (Get_level 0, "get_level");
+    (Cut_to 0, "cut_to");
+    (Builtin (b, 2, `Plain), "builtin");
+    (Check_ground (X 1, 5), "check_ground");
+    (Check_indep (X 1, X 2, 5), "check_indep");
+    (Alloc_parcall (2, 5), "alloc_parcall");
+    (Push_goal (1, 0, 2), "push_goal");
+    (Par_join, "par_join");
+    (Goal_done, "goal_done");
+    (Check_size (X 1, 4, 5), "check_size");
+    (Try (5, true), "det_try");
+    (Retry (5, true), "det_retry");
+    (Trust (5, true), "det_trust");
+    (Get_structure (0, 1, `Rigid), "get_structure_r");
+    (Get_list (1, `Rigid), "get_list_r");
+    (Get_value (X 3, 1, `Rigid), "get_value_r");
+    (Get_structure (0, 1, `Uncond), "get_structure_u");
+    (Get_list (1, `Uncond), "get_list_u");
+    (Get_constant (0, 1, `Uncond), "get_constant_u");
+    (Get_nil (1, `Uncond), "get_nil_u");
+    (Builtin (b, 2, `Uncond), "builtin_nt");
+    (Put_variable (X 3, 1, `Uncond), "put_uninit");
+    (Get_integer (7, 1, `Uncond), "get_integer_u");
+    (Get_value (X 3, 1, `Uncond), "get_value_u");
+  ]
+
+let test_opcode_table () =
+  let n = Wam.Instr.opcode_count in
+  Alcotest.(check int) "opcode_count" 61 n;
+  Alcotest.(check (list int))
+    "opcodes in table order" (List.init n Fun.id)
+    (List.map (fun (i, _) -> Wam.Instr.opcode i) table);
+  Alcotest.(check (list string))
+    "opcode names" (List.map snd table)
+    (List.map (fun (i, _) -> Wam.Instr.opcode_name (Wam.Instr.opcode i)) table)
+
+(* A spec (or the shallow flag) only removes work from its base
+   instruction: its footprint is a subset of the base's, and
+   [Access.elided] says what went. *)
+let deep_base i =
+  match Wam.Instr.plain i with
+  | Wam.Instr.Try (l, _) -> Wam.Instr.Try (l, false)
+  | Wam.Instr.Retry (l, _) -> Wam.Instr.Retry (l, false)
+  | Wam.Instr.Trust (l, _) -> Wam.Instr.Trust (l, false)
+  | i -> i
+
+let test_spec_footprints () =
+  let none = { Wam.Access.deref = false; trail = false } in
+  List.iter
+    (fun (i, name) ->
+      let base_fp = Wam.Access.of_instr (deep_base i) in
+      List.iter
+        (fun (a : Wam.Access.acc) ->
+          if not (List.mem a base_fp) then
+            Alcotest.failf "%s touches %s outside its base's footprint" name
+              (Trace.Area.name a.Wam.Access.area))
+        (Wam.Access.of_instr i);
+      let specialized = Wam.Instr.spec i <> `Plain in
+      Alcotest.(check bool)
+        (name ^ " elides something iff specialized")
+        specialized
+        (Wam.Access.elided i <> none);
+      Alcotest.(check bool)
+        (name ^ " base elides nothing")
+        true
+        (Wam.Access.elided (Wam.Instr.plain i) = none))
+    table
+
 let suite =
   [
     Alcotest.test_case "fact" `Quick test_fact_is_proceed;
@@ -205,4 +320,7 @@ let suite =
     Alcotest.test_case "void head arg" `Quick test_void_head_arg_no_instruction;
     Alcotest.test_case "structure flattening" `Quick test_structure_flattening;
     Alcotest.test_case "listing" `Quick test_listing_renders;
+    Alcotest.test_case "opcode table pinned" `Quick test_opcode_table;
+    Alcotest.test_case "spec footprints within base" `Quick
+      test_spec_footprints;
   ]

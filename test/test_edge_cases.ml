@@ -108,6 +108,30 @@ let test_arith_errors () =
   | exception Wam.Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "atom arith should error"
 
+(* Integers live in a 60-bit cell payload: results and literals
+   outside it are typed errors, never silently wrapped answers. *)
+let test_int_range () =
+  let check q expect = Alcotest.(check string) q expect (answer q "X") in
+  check "X is 576460752303423486 + 1" "576460752303423487";
+  check "X is -576460752303423487 - 1" "-576460752303423488";
+  let overflows q =
+    match Wam.Seq.solve ~src:"" ~query:q () with
+    | exception Wam.Machine.Runtime_error "evaluation_error(int_overflow)" -> ()
+    | _ -> Alcotest.failf "%s should raise evaluation_error(int_overflow)" q
+  in
+  overflows "X is 576460752303423487 + 1";
+  overflows "X is -576460752303423487 - 2";
+  overflows "X is 3037000499 * 3037000499";
+  overflows "X is 1 << 59";
+  overflows "X is -(-576460752303423487 - 1)";
+  overflows "X is 1 + 576460752303423487 * 2 - 5";
+  (match Wam.Seq.solve ~src:"" ~query:"X = 1152921504606846976" () with
+  | exception Wam.Compile.Error _ -> ()
+  | _ -> Alcotest.fail "a literal outside the cell range should be rejected");
+  match Prolog.Parser.term_of_string "99999999999999999999" with
+  | exception Prolog.Lexer.Error _ -> ()
+  | _ -> Alcotest.fail "a literal wider than a native int should be rejected"
+
 let test_comparison_chain () =
   succeeds "1 < 2, 2 =< 2, 3 >= 3, 4 > 3, 5 =:= 5, 5 =\\= 6"
 
@@ -279,6 +303,7 @@ let suite =
     Alcotest.test_case "list tails" `Quick test_nested_list_tails;
     Alcotest.test_case "all arith ops" `Quick test_all_arith_ops;
     Alcotest.test_case "arith errors" `Quick test_arith_errors;
+    Alcotest.test_case "integer range" `Quick test_int_range;
     Alcotest.test_case "comparison chain" `Quick test_comparison_chain;
     Alcotest.test_case "standard order" `Quick test_standard_order_details;
     Alcotest.test_case "functor list" `Quick test_functor_construct_list;

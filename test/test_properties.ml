@@ -282,17 +282,27 @@ let rec aexp_to_prolog = function
   | Div (a, b) -> Printf.sprintf "(%s // %s)" (aexp_to_prolog a) (aexp_to_prolog b)
   | Neg a -> Printf.sprintf "(- %s)" (aexp_to_prolog a)
 
-exception Div0
+(* The oracle models the machine's integer range independently of
+   Wam.Cell: a 60-bit payload, so any intermediate result outside
+   [-2^59, 2^59 - 1] is an evaluation error, as is a zero divisor. *)
+exception Eval_error
+
+let max_num = (1 lsl 59) - 1
+let min_num = -(1 lsl 59)
+let in_range n = if n < min_num || n > max_num then raise Eval_error else n
 
 let rec aexp_eval = function
   | Lit n -> n
-  | Add (a, b) -> aexp_eval a + aexp_eval b
-  | Sub (a, b) -> aexp_eval a - aexp_eval b
-  | Mul (a, b) -> aexp_eval a * aexp_eval b
+  | Add (a, b) -> in_range (aexp_eval a + aexp_eval b)
+  | Sub (a, b) -> in_range (aexp_eval a - aexp_eval b)
+  | Mul (a, b) ->
+    let x = aexp_eval a and y = aexp_eval b in
+    let r = x * y in
+    if x <> 0 && r / x <> y then raise Eval_error else in_range r
   | Div (a, b) ->
     let d = aexp_eval b in
-    if d = 0 then raise Div0 else aexp_eval a / d
-  | Neg a -> -aexp_eval a
+    if d = 0 then raise Eval_error else in_range (aexp_eval a / d)
+  | Neg a -> in_range (-aexp_eval a)
 
 let aexp_gen =
   Gen.sized
@@ -313,8 +323,9 @@ let prop_arith_matches_ocaml =
   Test.make ~name:"is/2 agrees with OCaml evaluation" ~count:150
     (make ~print:aexp_to_prolog aexp_gen) (fun e ->
       match aexp_eval e with
-      | exception Div0 -> begin
-        (* the machine must fail with a runtime error, not crash *)
+      | exception Eval_error -> begin
+        (* the machine must raise a runtime error, neither crash nor
+           answer with a wrapped value *)
         match
           Wam.Seq.solve ~src:""
             ~query:(Printf.sprintf "X is %s" (aexp_to_prolog e))
@@ -399,7 +410,7 @@ let prop_zscores_center =
       abs_float (Stats.Fit.mean zs) < 1e-6)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Qseed.to_alcotest
     [
       prop_parse_print_roundtrip;
       prop_unify_matches_reference;

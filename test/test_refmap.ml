@@ -158,6 +158,41 @@ let test_tags () =
         (t.Refmap.Oracle.predicted_shared >= t.Refmap.Oracle.dyn_shared))
     bench_names
 
+(* A local-stack word can be an environment word first and a parcall
+   frame word later; only the later incarnation is read by a stealing
+   PE, so each incarnation is scored under its own area. *)
+let test_tag_incarnations () =
+  let static = (report "deriv").Refmap.Driver.a.Refmap.Driver.static in
+  let c = Refmap.Collect.create static in
+  let addr = Wam.Layout.local_base 0 + 7 in
+  let touch pe area op =
+    Refmap.Collect.on_record c { Trace.Ref_record.pe; addr; area; op }
+  in
+  touch 0 Trace.Area.Env_control Trace.Ref_record.Write;
+  touch 0 Trace.Area.Env_control Trace.Ref_record.Read;
+  touch 0 Trace.Area.Parcall_local Trace.Ref_record.Write;
+  touch 1 Trace.Area.Parcall_local Trace.Ref_record.Read;
+  let seen =
+    Refmap.Collect.fold_addrs
+      (fun acc ~addr:_ ~area ~shared -> (Trace.Area.name area, shared) :: acc)
+      c []
+  in
+  Alcotest.(check (list (pair string bool)))
+    "one record per incarnation"
+    (List.sort compare
+       [
+         (Trace.Area.name Trace.Area.Env_control, false);
+         (Trace.Area.name Trace.Area.Parcall_local, true);
+       ])
+    (List.sort compare seen)
+
+(* Paper-scale deriv reuses local-stack words across parcalls at 8 PEs,
+   which the reduced inputs do not exercise. *)
+let test_tags_full_size () =
+  let r = Refmap.Driver.run ~pes:[ 8 ] (Benchlib.Inputs.benchmark "deriv") in
+  Alcotest.(check (float 0.0)) "deriv recall" 1.0
+    r.Refmap.Driver.tags.Refmap.Oracle.recall
+
 (* ---- seeded defects ---- *)
 
 (* matrix is the one benchmark with an uncertified group, so it is
@@ -223,11 +258,11 @@ let test_summaries_closed () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest test_mode_lattice;
+    Qseed.to_alcotest test_mode_lattice;
     Alcotest.test_case "summary permits" `Quick test_mode_permits;
     Alcotest.test_case "oracle sound on all benchmarks at 1/4/8 PEs" `Slow
       test_oracle_sound;
-    QCheck_alcotest.to_alcotest test_oracle_qcheck;
+    Qseed.to_alcotest test_oracle_qcheck;
     Alcotest.test_case "certification counts" `Quick test_certification;
     Alcotest.test_case "static_safe stat audited" `Quick test_static_safe_stat;
     Alcotest.test_case "certified groups tracecheck-clean" `Quick
@@ -236,6 +271,10 @@ let suite =
       test_uncertified_reason;
     Alcotest.test_case "tag recall 1.0, precision over baseline" `Quick
       test_tags;
+    Alcotest.test_case "tags scored per address incarnation" `Quick
+      test_tag_incarnations;
+    Alcotest.test_case "tag recall 1.0 on paper-scale deriv" `Quick
+      test_tags_full_size;
     Alcotest.test_case "seeded defects detected" `Slow test_defects_detected;
     Alcotest.test_case "defect diagnostics name pred/area/mode" `Quick
       test_defect_diagnostics;

@@ -39,7 +39,7 @@ let test_clean_handmade () =
     fixture (fun symbols code ->
         let open Wam.Instr in
         ignore (entry symbols code "p" 1);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, `Plain));
         emit code Proceed)
   in
   check_clean "fact p(nil)" diags
@@ -58,7 +58,7 @@ let test_clean_env_roundtrip () =
         emit code Deallocate;
         emit code (Execute q);
         ignore (entry symbols code "q" 1);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, `Plain));
         emit code Proceed)
   in
   check_clean "allocate/call/deallocate" diags
@@ -121,7 +121,7 @@ let test_broken_trust_chain () =
         emit code Proceed;
         ignore (entry symbols code "p" 0);
         (* trust without a preceding try/retry *)
-        emit code (Trust clause))
+        emit code (Trust (clause, false)))
   in
   check_has "broken-chain" diags
 
@@ -258,7 +258,7 @@ let test_unreachable () =
         ignore (entry symbols code "p" 0);
         emit code Proceed;
         (* dead code after the clause, no entry points here *)
-        emit code (Get_nil 1))
+        emit code (Get_nil (1, `Plain)))
   in
   check_has "unreachable" diags
 
@@ -269,7 +269,7 @@ let test_trail_discipline_clean () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         emit code (Get_level 0);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, `Plain));
         emit code (Cut_to 0);
         emit code Deallocate;
         emit code Proceed)
@@ -312,7 +312,7 @@ let test_trail_discipline_partial_path () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         (* the level is saved on only one of the two paths to the cut *)
-        let sw = Wam.Code.emit code (Get_nil 1) in
+        let sw = Wam.Code.emit code (Get_nil (1, `Plain)) in
         ignore sw;
         let branch = Wam.Code.emit code (Jump 0) in
         emit code (Get_level 0);
@@ -345,7 +345,7 @@ let test_env_drift () =
         let open Wam.Instr in
         ignore (entry symbols code "p" 0);
         emit code (Allocate 2);
-        emit code (Builtin (Wam.Builtin.True_b, 0));
+        emit code (Builtin (Wam.Builtin.True_b, 0, `Plain));
         emit code Proceed)
   in
   check_has "env-drift" diags
