@@ -303,7 +303,6 @@ let suite =
     Alcotest.test_case "list tails" `Quick test_nested_list_tails;
     Alcotest.test_case "all arith ops" `Quick test_all_arith_ops;
     Alcotest.test_case "arith errors" `Quick test_arith_errors;
-    Alcotest.test_case "integer range" `Quick test_int_range;
     Alcotest.test_case "comparison chain" `Quick test_comparison_chain;
     Alcotest.test_case "standard order" `Quick test_standard_order_details;
     Alcotest.test_case "functor list" `Quick test_functor_construct_list;
@@ -325,4 +324,5 @@ let suite =
     Alcotest.test_case "directory consistency" `Quick
       test_directory_consistency_after_invalidate;
     Alcotest.test_case "line granularity" `Quick test_line_granularity;
+    Alcotest.test_case "integer range" `Quick test_int_range;
   ]
