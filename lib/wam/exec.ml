@@ -517,7 +517,7 @@ let mul a b =
   if a <> 0 && r / a <> b then int_overflow () else r
 
 let shift_left a s =
-  if s >= 0 && (s >= Sys.int_size || (a lsl s) asr s <> a) then
+  if s >= 0 && a <> 0 && (s >= Sys.int_size || (a lsl s) asr s <> a) then
     int_overflow ()
   else a lsl s
 

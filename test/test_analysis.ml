@@ -245,7 +245,7 @@ let suite =
       test_check_reduction;
     Alcotest.test_case "app success precision" `Quick
       test_app_success_precise;
-    Qseed.to_alcotest qcheck_groundness;
+    QCheck_alcotest.to_alcotest qcheck_groundness;
     Alcotest.test_case "e2e answers unchanged" `Quick
       test_e2e_answers_unchanged;
   ]

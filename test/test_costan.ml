@@ -210,7 +210,7 @@ let suite =
       test_sequentializes_constant_goals;
     Alcotest.test_case "deriv prediction contains measured" `Quick
       test_deriv_prediction_contains_measured;
-    Qseed.to_alcotest prop_lower_bound_sound;
+    QCheck_alcotest.to_alcotest prop_lower_bound_sound;
     Alcotest.test_case "answers agree with granularity on/off" `Slow
       test_answers_agree_with_granularity;
     Alcotest.test_case "profiler counts calls" `Quick

@@ -395,10 +395,10 @@ let test_det_arms_stat () =
 
 let suite =
   [
-    Qseed.to_alcotest test_lattice_join;
-    Qseed.to_alcotest test_lattice_seq;
-    Qseed.to_alcotest test_lattice_alt_excl_refines;
-    Qseed.to_alcotest test_lattice_det_closed;
+    QCheck_alcotest.to_alcotest test_lattice_join;
+    QCheck_alcotest.to_alcotest test_lattice_seq;
+    QCheck_alcotest.to_alcotest test_lattice_alt_excl_refines;
+    QCheck_alcotest.to_alcotest test_lattice_det_closed;
     Alcotest.test_case "guard exclusion" `Quick test_guard_exclusion;
     Alcotest.test_case "structural exclusion needs groundness" `Quick
       test_struct_exclusion_needs_groundness;
@@ -410,11 +410,11 @@ let suite =
     Alcotest.test_case "oracle and answers at 1/4/8 PEs" `Quick
       test_oracle_and_answers;
     Alcotest.test_case "choice-point refs drop" `Quick test_cp_refs_drop;
-    Qseed.to_alcotest test_det_qcheck;
+    QCheck_alcotest.to_alcotest test_det_qcheck;
     Alcotest.test_case "elision counters" `Quick test_elision_counters;
     Alcotest.test_case "first-arg indexing edge cases" `Quick
       test_indexing_edge_cases;
-    Qseed.to_alcotest test_det_answers_qcheck;
+    QCheck_alcotest.to_alcotest test_det_answers_qcheck;
     Alcotest.test_case "parcall failure recovery" `Quick
       test_parcall_failure_recovery;
     Alcotest.test_case "seeded defects detected" `Quick test_defects_detected;

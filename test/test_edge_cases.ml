@@ -114,6 +114,8 @@ let test_int_range () =
   let check q expect = Alcotest.(check string) q expect (answer q "X") in
   check "X is 576460752303423486 + 1" "576460752303423487";
   check "X is -576460752303423487 - 1" "-576460752303423488";
+  check "X is 0 << 63" "0";
+  check "X is 0 << 100" "0";
   let overflows q =
     match Wam.Seq.solve ~src:"" ~query:q () with
     | exception Wam.Machine.Runtime_error "evaluation_error(int_overflow)" -> ()

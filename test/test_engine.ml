@@ -3,7 +3,7 @@
    byte-identical), and a qcheck round-trip of the trace persistence
    the engine leans on. *)
 
-let qt = Qseed.to_alcotest
+let qt = QCheck_alcotest.to_alcotest
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in

@@ -374,8 +374,8 @@ let suite =
       test_canon_variants;
     Alcotest.test_case "canon: sharing distinguishes" `Quick
       test_canon_shared_vars;
-    Qseed.to_alcotest prop_key_renaming;
-    Qseed.to_alcotest prop_key_iff_variant;
+    QCheck_alcotest.to_alcotest prop_key_renaming;
+    QCheck_alcotest.to_alcotest prop_key_iff_variant;
     Alcotest.test_case "canon: answer variants" `Quick
       test_answer_text_variants;
     Alcotest.test_case "insert/find/dedupe + counters" `Quick

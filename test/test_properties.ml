@@ -410,7 +410,7 @@ let prop_zscores_center =
       abs_float (Stats.Fit.mean zs) < 1e-6)
 
 let suite =
-  List.map Qseed.to_alcotest
+  List.map QCheck_alcotest.to_alcotest
     [
       prop_parse_print_roundtrip;
       prop_unify_matches_reference;

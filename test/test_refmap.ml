@@ -258,11 +258,11 @@ let test_summaries_closed () =
 
 let suite =
   [
-    Qseed.to_alcotest test_mode_lattice;
+    QCheck_alcotest.to_alcotest test_mode_lattice;
     Alcotest.test_case "summary permits" `Quick test_mode_permits;
     Alcotest.test_case "oracle sound on all benchmarks at 1/4/8 PEs" `Slow
       test_oracle_sound;
-    Qseed.to_alcotest test_oracle_qcheck;
+    QCheck_alcotest.to_alcotest test_oracle_qcheck;
     Alcotest.test_case "certification counts" `Quick test_certification;
     Alcotest.test_case "static_safe stat audited" `Quick test_static_safe_stat;
     Alcotest.test_case "certified groups tracecheck-clean" `Quick

@@ -8,7 +8,7 @@
    {!Resilience.Fault.Injected} exception — never a hang, never a
    silently wrong result. *)
 
-let qt = Qseed.to_alcotest
+let qt = QCheck_alcotest.to_alcotest
 
 module B = Trace.Sink.Buffer_sink
 module F = Resilience.Fault

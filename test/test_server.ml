@@ -591,7 +591,7 @@ let suite =
       test_serve_config_validation;
     Alcotest.test_case "metrics: percentile edges" `Quick
       test_metrics_percentile_edges;
-    Qseed.to_alcotest prop_metrics_percentiles_monotone;
+    QCheck_alcotest.to_alcotest prop_metrics_percentiles_monotone;
     Alcotest.test_case "supervise: retry heals a transient fault" `Quick
       test_supervise_retry_heals_transient;
     Alcotest.test_case "supervise: deadline becomes a typed timeout" `Quick

@@ -230,5 +230,5 @@ let suite =
     Alcotest.test_case "instruction freq" `Quick test_freq;
     Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
     Alcotest.test_case "zipf determinism" `Quick test_zipf_deterministic;
-    Qseed.to_alcotest zipf_qcheck;
+    QCheck_alcotest.to_alcotest zipf_qcheck;
   ]
