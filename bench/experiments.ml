@@ -1432,9 +1432,7 @@ let costan setup =
 
 let refmap setup =
   section "Refmap: static access summaries vs dynamic traces";
-  let reports =
-    List.map (fun b -> Refmap.Driver.run ~pes:[ 1; 4; 8 ] b) setup.benchmarks
-  in
+  let reports = List.map (fun b -> Refmap.Driver.run b) setup.benchmarks in
   let t =
     Stats.Table.create ~title:"certification, oracle and predicted tags"
       ~headers:
@@ -1499,7 +1497,7 @@ let refmap setup =
     (List.exists all_certified reports);
   Resilience.Atomic_io.write_string "BENCH_refmap.json"
     ("{\n  \"schema\": \"rapwam-refmap/1\",\n  \"benchmarks\": "
-    ^ Refmap.Driver.json_of_reports reports
+    ^ Benchlib.Driver.json_of_reports Refmap.Driver.tool reports
     ^ "}\n");
   Format.printf
     "Static area/mode summaries bound every dynamic access; groups@.\
@@ -1602,12 +1600,62 @@ let availability setup =
 (* The cache simulator then prices the saving as a Figure-4            *)
 (* traffic-ratio delta.  Recorded to BENCH_detan.json.                 *)
 
-let detan_pes = [ 1; 4; 8 ]
+(* Figure-4 pricing shared by detan and bindan: [run ~on_pair b] runs
+   one analysis, and each base/variant pair of traces it makes goes
+   through the hybrid protocol at 1024-word caches (best allocation)
+   while alive.  Returns the reports and, per benchmark, the
+   (pes, (base ratio, bus words), (variant ratio, bus words)) points. *)
+let priced run benchmarks =
+  let price n_pes (r : Benchlib.Runner.result) =
+    let m, _ =
+      Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
+        ~cache_words:1024 ~n_pes:(max n_pes 1) r.Benchlib.Runner.trace
+    in
+    (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
+  in
+  List.split
+    (List.map
+       (fun (b : Benchlib.Programs.benchmark) ->
+         let points = ref [] in
+         let on_pair n_pes base variant =
+           points := (n_pes, price n_pes base, price n_pes variant) :: !points
+         in
+         let r = run ~on_pair b in
+         (r, (b.Benchlib.Programs.name, List.rev !points)))
+       benchmarks)
+
+(* Print the priced points and render them as the JSON [traffic]
+   array; [variant] names the variant build in the JSON keys. *)
+let report_traffic ~variant traffic =
+  List.iter
+    (fun (name, points) ->
+      Format.printf "  %-12s %s@." name
+        (String.concat "  "
+           (List.map
+              (fun (n_pes, (base, bbus), (var, vbus)) ->
+                Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base var
+                  bbus vbus)
+              points)))
+    traffic;
+  String.concat ",\n    "
+    (List.map
+       (fun (name, points) ->
+         Printf.sprintf "{\"bench\": %S, \"points\": [%s]}" name
+           (String.concat ", "
+              (List.map
+                 (fun (n_pes, (base, bbus), (var, vbus)) ->
+                   Printf.sprintf
+                     "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \
+                      \"%s_traffic_ratio\": %.6f, \"delta\": %.6f, \
+                      \"base_bus_words\": %d, \"%s_bus_words\": %d}"
+                     n_pes base variant var (var -. base) bbus variant vbus)
+                 points)))
+       traffic)
 
 let detan setup =
   section "Detan: determinacy-driven choice-point elision";
-  let reports =
-    List.map (fun b -> Detan.Driver.run ~pes:detan_pes b) setup.benchmarks
+  let reports, traffic =
+    priced (fun ~on_pair b -> Detan.Driver.run ~on_pair b) setup.benchmarks
   in
   let t =
     Stats.Table.create ~title:"analysis, oracle and elision (8 PEs)"
@@ -1626,6 +1674,10 @@ let detan setup =
       let a = r.Detan.Driver.a in
       let el = a.Detan.Driver.elision in
       let last = List.nth r.Detan.Driver.runs (List.length r.Detan.Driver.runs - 1) in
+      let refs area =
+        let base, det = Benchlib.Driver.area_refs last area in
+        Printf.sprintf "%d -> %d" base det
+      in
       Stats.Table.add_row t
         [
           a.Detan.Driver.bench.Benchlib.Programs.name;
@@ -1634,61 +1686,19 @@ let detan setup =
           Stats.Table.cell_int a.Detan.Driver.det_arms;
           Printf.sprintf "%d/%d" el.Detan.Driver.chains_det
             el.Detan.Driver.chains_total;
-          Printf.sprintf "%d -> %d"
-            (last.Detan.Driver.base_cp_reads + last.Detan.Driver.base_cp_writes)
-            (last.Detan.Driver.det_cp_reads + last.Detan.Driver.det_cp_writes);
-          Printf.sprintf "%d -> %d"
-            (last.Detan.Driver.base_trail_reads
-            + last.Detan.Driver.base_trail_writes)
-            (last.Detan.Driver.det_trail_reads
-            + last.Detan.Driver.det_trail_writes);
-          Stats.Table.cell_int last.Detan.Driver.det_cp_elided;
+          refs Trace.Area.Choice_point;
+          refs Trace.Area.Trail;
+          Stats.Table.cell_int last.Benchlib.Driver.cp_elided;
           (if r.Detan.Driver.oracle_ok then "ok" else "VIOLATED");
           (if r.Detan.Driver.answers_ok then "ok" else "DIFFER");
         ])
     reports;
   Stats.Table.print t;
-  (* Figure-4 pricing: base vs det traces through the hybrid protocol
-     at 1024-word caches (best allocation), at each PE count.  The
-     analysis and both runs are recomputed here because transformed
-     programs bypass the run memo. *)
-  let traffic =
-    List.map
-      (fun b ->
-        let a = Detan.Driver.analyze b in
-        let point n_pes det =
-          let r =
-            Benchlib.Runner.run_rapwam ~keep_trace:true
-              ~transform:a.Detan.Driver.transform ?det ~n_pes b
-          in
-          let m, _ =
-            Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
-              ~cache_words:1024 ~n_pes:(max n_pes 1)
-              r.Benchlib.Runner.trace
-          in
-          (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
-        in
-        ( b.Benchlib.Programs.name,
-          List.map
-            (fun n_pes ->
-              (n_pes, point n_pes None, point n_pes (Some a.Detan.Driver.plan)))
-            detan_pes ))
-      setup.benchmarks
-  in
   Format.printf
     "@.Figure-4 traffic ratios (hybrid, 1024 words, best allocation);@.\
      bus words in brackets -- the elided references are the@.\
      best-cached ones, so the ratio can rise while traffic falls:@.";
-  List.iter
-    (fun (name, points) ->
-      Format.printf "  %-12s %s@." name
-        (String.concat "  "
-           (List.map
-              (fun (n_pes, (base, bbus), (det, dbus)) ->
-                Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base det
-                  bbus dbus)
-              points)))
-    traffic;
+  let traffic_json = report_traffic ~variant:"det" traffic in
   let named = [ "deriv"; "qsort"; "tak" ] in
   let named_reports =
     List.filter
@@ -1710,25 +1720,9 @@ let detan setup =
     (List.for_all
        (fun (r : Detan.Driver.report) -> r.Detan.Driver.trail_drop)
        named_reports);
-  let traffic_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (name, points) ->
-           Printf.sprintf "{\"bench\": %S, \"points\": [%s]}" name
-             (String.concat ", "
-                (List.map
-                   (fun (n_pes, (base, bbus), (det, dbus)) ->
-                     Printf.sprintf
-                       "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \
-                        \"det_traffic_ratio\": %.6f, \"delta\": %.6f, \
-                        \"base_bus_words\": %d, \"det_bus_words\": %d}"
-                       n_pes base det (det -. base) bbus dbus)
-                   points)))
-         traffic)
-  in
   Resilience.Atomic_io.write_string "BENCH_detan.json"
     ("{\n  \"schema\": \"rapwam-detan/1\",\n  \"benchmarks\": "
-    ^ Detan.Driver.json_of_reports reports
+    ^ Benchlib.Driver.json_of_reports Detan.Driver.tool reports
     ^ ",\n  \"traffic\": [\n    " ^ traffic_json ^ "\n  ]\n}\n");
   Format.printf
     "Certified chains run choice-point free under shallow backtracking:@.\
@@ -1745,12 +1739,10 @@ let detan setup =
 (* cache simulator prices the saving as a Figure-4 traffic-ratio       *)
 (* delta.  Recorded to BENCH_bindan.json.                              *)
 
-let bindan_pes = [ 1; 4; 8 ]
-
 let bindan setup =
   section "Bindan: binding-driven trail elision and deref-free unification";
-  let reports =
-    List.map (fun b -> Bindan.Driver.run ~pes:bindan_pes b) setup.benchmarks
+  let reports, traffic =
+    priced (fun ~on_pair b -> Bindan.Driver.run ~on_pair b) setup.benchmarks
   in
   let t =
     Stats.Table.create ~title:"certificates, oracle and trail elision (8 PEs)"
@@ -1764,15 +1756,6 @@ let bindan setup =
           Stats.Table.Right; Stats.Table.Right ]
       ()
   in
-  let area_refs (run : Bindan.Driver.pe_run) ar =
-    let d =
-      List.find
-        (fun (d : Bindan.Driver.area_delta) -> d.Bindan.Driver.ad_area = ar)
-        run.Bindan.Driver.areas
-    in
-    ( d.Bindan.Driver.ad_base_reads + d.Bindan.Driver.ad_base_writes,
-      d.Bindan.Driver.ad_bind_reads + d.Bindan.Driver.ad_bind_writes )
-  in
   List.iter
     (fun (r : Bindan.Driver.report) ->
       let a = r.Bindan.Driver.a in
@@ -1780,8 +1763,8 @@ let bindan setup =
       let last =
         List.nth r.Bindan.Driver.runs (List.length r.Bindan.Driver.runs - 1)
       in
-      let tb, ts = area_refs last Trace.Area.Trail in
-      let hb, hs = area_refs last Trace.Area.Heap in
+      let tb, ts = Benchlib.Driver.area_refs last Trace.Area.Trail in
+      let hb, hs = Benchlib.Driver.area_refs last Trace.Area.Heap in
       Stats.Table.add_row t
         [
           a.Bindan.Driver.bench.Benchlib.Programs.name;
@@ -1791,58 +1774,18 @@ let bindan setup =
           Stats.Table.cell_int p.Bindan.Plan.n_nt_builtin;
           Printf.sprintf "%d -> %d" tb ts;
           Printf.sprintf "%d -> %d" hb hs;
-          Stats.Table.cell_int last.Bindan.Driver.trail_elided;
-          Stats.Table.cell_int last.Bindan.Driver.deref_skipped;
+          Stats.Table.cell_int last.Benchlib.Driver.trail_elided;
+          Stats.Table.cell_int last.Benchlib.Driver.deref_skipped;
           (if r.Bindan.Driver.oracle_ok then "ok" else "VIOLATED");
           (if r.Bindan.Driver.answers_ok then "ok" else "DIFFER");
         ])
     reports;
   Stats.Table.print t;
-  (* Figure-4 pricing: base (det-plan only) vs bind traces through the
-     hybrid protocol at 1024-word caches (best allocation), at each PE
-     count.  Recomputed here because transformed programs bypass the
-     run memo. *)
-  let traffic =
-    List.map
-      (fun b ->
-        let a = Bindan.Driver.analyze b in
-        let det_a = a.Bindan.Driver.det_a in
-        let point n_pes bind =
-          let r =
-            Benchlib.Runner.run_rapwam ~keep_trace:true
-              ~transform:det_a.Detan.Driver.transform
-              ~det:det_a.Detan.Driver.plan ?bind ~n_pes b
-          in
-          let m, _ =
-            Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
-              ~cache_words:1024 ~n_pes:(max n_pes 1)
-              r.Benchlib.Runner.trace
-          in
-          (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
-        in
-        ( b.Benchlib.Programs.name,
-          List.map
-            (fun n_pes ->
-              ( n_pes,
-                point n_pes None,
-                point n_pes (Some a.Bindan.Driver.plan.Bindan.Plan.plan) ))
-            bindan_pes ))
-      setup.benchmarks
-  in
   Format.printf
     "@.Figure-4 traffic ratios (hybrid, 1024 words, best allocation);@.\
      bus words in brackets -- elided trail checks were the@.\
      best-cached references, so the ratio can rise while traffic falls:@.";
-  List.iter
-    (fun (name, points) ->
-      Format.printf "  %-12s %s@." name
-        (String.concat "  "
-           (List.map
-              (fun (n_pes, (base, bbus), (bind, sbus)) ->
-                Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base
-                  bind bbus sbus)
-              points)))
-    traffic;
+  let traffic_json = report_traffic ~variant:"bind" traffic in
   let named = [ "deriv"; "qsort"; "tak" ] in
   let named_reports =
     List.filter
@@ -1870,25 +1813,9 @@ let bindan setup =
     && List.for_all
          (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.trail_drop)
          named_reports);
-  let traffic_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (name, points) ->
-           Printf.sprintf "{\"bench\": %S, \"points\": [%s]}" name
-             (String.concat ", "
-                (List.map
-                   (fun (n_pes, (base, bbus), (bind, sbus)) ->
-                     Printf.sprintf
-                       "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \
-                        \"bind_traffic_ratio\": %.6f, \"delta\": %.6f, \
-                        \"base_bus_words\": %d, \"bind_bus_words\": %d}"
-                       n_pes base bind (bind -. base) bbus sbus)
-                   points)))
-         traffic)
-  in
   Resilience.Atomic_io.write_string "BENCH_bindan.json"
     ("{\n  \"schema\": \"rapwam-bindan/1\",\n  \"benchmarks\": "
-    ^ Bindan.Driver.json_of_reports reports
+    ^ Benchlib.Driver.json_of_reports Bindan.Driver.tool reports
     ^ ",\n  \"traffic\": [\n    " ^ traffic_json ^ "\n  ]\n}\n");
   Format.printf
     "Certified binds run trail-check free and certified gets skip the@.\

@@ -35,27 +35,21 @@ let pp_report verbose (r : Bindan.Driver.report) =
     (if r.Bindan.Driver.lint_clean then "lint ok" else "LINT DIRTY");
   List.iter
     (fun (run : Bindan.Driver.pe_run) ->
-      let trail =
-        List.find
-          (fun (d : Bindan.Driver.area_delta) ->
-            d.Bindan.Driver.ad_area = Trace.Area.Trail)
-          run.Bindan.Driver.areas
-      in
+      let oracle = run.Benchlib.Driver.checks.Bindan.Driver.oracle in
+      let tr_base, tr_bind = Benchlib.Driver.area_refs run Trace.Area.Trail in
       Format.printf
         "  %dpe: %d records, %d site(s), %d window(s), %d violation(s); trail \
          %d -> %d, elided %d, deref skipped %d@."
-        run.Bindan.Driver.n_pes run.Bindan.Driver.records
-        run.Bindan.Driver.oracle.Bindan.Oracle.sites_checked
-        run.Bindan.Driver.oracle.Bindan.Oracle.windows
-        (List.length run.Bindan.Driver.oracle.Bindan.Oracle.violations)
-        (trail.Bindan.Driver.ad_base_reads + trail.Bindan.Driver.ad_base_writes)
-        (trail.Bindan.Driver.ad_bind_reads + trail.Bindan.Driver.ad_bind_writes)
-        run.Bindan.Driver.trail_elided run.Bindan.Driver.deref_skipped;
+        run.Benchlib.Driver.n_pes run.Benchlib.Driver.base_total_refs
+        oracle.Bindan.Oracle.sites_checked oracle.Bindan.Oracle.windows
+        (List.length oracle.Bindan.Oracle.violations)
+        tr_base tr_bind run.Benchlib.Driver.trail_elided
+        run.Benchlib.Driver.deref_skipped;
       List.iteri
         (fun i v ->
           if i < 8 || verbose then
             Format.printf "    %a@." Bindan.Oracle.pp_violation v)
-        run.Bindan.Driver.oracle.Bindan.Oracle.violations)
+        oracle.Bindan.Oracle.violations)
     r.Bindan.Driver.runs;
   if not r.Bindan.Driver.lint_clean then
     List.iter
@@ -64,107 +58,21 @@ let pp_report verbose (r : Bindan.Driver.report) =
   if verbose then
     Format.printf "%a@." Bindan.Facts.pp a.Bindan.Driver.absr.Bindan.Absint.facts
 
-let pp_facts (b : Benchlib.Programs.benchmark) =
+let pp_facts _defect (b : Benchlib.Programs.benchmark) =
   let a = Bindan.Driver.analyze b in
   Format.printf "== %s ==@.%a@." b.Benchlib.Programs.name Bindan.Facts.pp
     a.Bindan.Driver.absr.Bindan.Absint.facts
 
-let run_cmd bench_names pes quick defect facts verbose json_out =
-  let pool =
-    (if quick then Benchlib.Inputs.small_benchmarks ()
-     else Benchlib.Inputs.default_benchmarks ())
-    @ Bindan.Fixtures.all
-  in
-  let benchmarks = Benchlib.Cli.select ~pool bench_names in
-  if facts then List.iter pp_facts benchmarks
-  else begin
-    match defect with
-    | None ->
-      let dirty = ref 0 in
-      let reports =
-        List.map
-          (fun (b : Benchlib.Programs.benchmark) ->
-            let r = Bindan.Driver.run ~pes b in
-            pp_report verbose r;
-            if
-              not
-                (r.Bindan.Driver.oracle_ok && r.Bindan.Driver.answers_ok
-               && r.Bindan.Driver.trace_ok && r.Bindan.Driver.lint_clean)
-            then begin
-              incr dirty;
-              Format.printf "  FAIL: %s@." b.Benchlib.Programs.name
-            end;
-            r)
-          benchmarks
-      in
-      Benchlib.Cli.write_json json_out (Bindan.Driver.json_of_reports reports);
-      if !dirty > 0 then exit 1
-    | Some dname ->
-      let d =
-        match Bindan.Defects.find dname with
-        | Some d -> d
-        | None -> invalid_arg ("unknown defect " ^ dname)
-      in
-      (* run the weakened analysis over the pool plus the defect's
-         dedicated probes; detection anywhere counts *)
-      let probes =
-        List.filter
-          (fun (p : Benchlib.Programs.benchmark) ->
-            not
-              (List.exists
-                 (fun (b : Benchlib.Programs.benchmark) ->
-                   b.Benchlib.Programs.name = p.Benchlib.Programs.name)
-                 benchmarks))
-          d.Bindan.Defects.probes
-      in
-      let reports =
-        List.map
-          (fun b -> Bindan.Driver.run ~defect:d ~pes b)
-          (benchmarks @ probes)
-      in
-      if Bindan.Driver.defect_detected ~defect:d reports then begin
-        Format.printf "defect %s detected (%s)@." d.Bindan.Defects.name
-          d.Bindan.Defects.detector;
-        exit 1
-      end
-      else
-        Format.printf "MISSED: seeded defect %s escaped detection@."
-          d.Bindan.Defects.name
-  end
-
-open Cmdliner
-
-let bench_names =
-  Benchlib.Programs.all_names @ Benchlib.Cli.names_of Bindan.Fixtures.all
-
-let cmd =
-  let doc =
-    "static binding & instantiation analysis: trail-check elision, \
-     deref-free specialized unification, and the trace-replay site oracle"
-  in
-  Cmd.v
-    (Cmd.info "bindan" ~doc)
-    Term.(
-      const (fun bench _benchmarks pes quick defect facts verbose json ->
-          run_cmd bench pes quick defect facts verbose json)
-      $ Benchlib.Cli.bench_arg
-          ~doc:"Benchmark(s) to analyze (default: all, plus the fixtures)."
-          bench_names
-      $ Benchlib.Cli.benchmarks_flag
-      $ Benchlib.Cli.pes_arg
-          ~doc:"PE counts both machines run and the oracle is checked at."
-          Bindan.Driver.default_pes
-      $ Benchlib.Cli.quick_arg
-      $ Benchlib.Cli.defect_arg
-          ~doc:
-            "Weaken the analysis with the named seeded defect first and \
-             expect its detector (oracle or wamlint) to flag it; exit 1 on \
-             detection, 0 when it escapes."
-          Bindan.Defects.names
-      $ Arg.(
-          value & flag
-          & info [ "facts" ]
-              ~doc:"Print the per-predicate binding facts and stop.")
-      $ Benchlib.Cli.verbose_flag $ Benchlib.Cli.json_arg)
-
-let () = Benchlib.Cli.eval cmd
+let () =
+  Benchlib.Cli.main ~name:"bindan"
+    ~doc:
+      "static binding & instantiation analysis: trail-check elision, \
+       deref-free specialized unification, and the trace-replay site oracle"
+    ~pes_doc:"PE counts both machines run and the oracle is checked at."
+    ~defect_doc:
+      "Weaken the analysis with the named seeded defect first and expect \
+       its detector (oracle or wamlint) to flag it; exit 1 on detection, 0 \
+       when it escapes."
+    ~stop:
+      ("facts", "Print the per-predicate binding facts and stop.", pp_facts)
+    ~pp_report Bindan.Driver.tool

@@ -34,22 +34,23 @@ let pp_report verbose (r : Detan.Driver.report) =
     (if r.Detan.Driver.lint_clean then "lint ok" else "LINT DIRTY");
   List.iter
     (fun (run : Detan.Driver.pe_run) ->
+      let oracle = run.Benchlib.Driver.checks in
+      let cp_base, cp_det =
+        Benchlib.Driver.area_refs run Trace.Area.Choice_point
+      in
+      let tr_base, tr_det = Benchlib.Driver.area_refs run Trace.Area.Trail in
       Format.printf
         "  %dpe: %d records, %d trial(s), %d violation(s); cp %d -> %d, \
          trail %d -> %d, elided %d@."
-        run.Detan.Driver.n_pes run.Detan.Driver.records
-        run.Detan.Driver.oracle.Detan.Oracle.trials
-        (List.length run.Detan.Driver.oracle.Detan.Oracle.violations)
-        (run.Detan.Driver.base_cp_reads + run.Detan.Driver.base_cp_writes)
-        (run.Detan.Driver.det_cp_reads + run.Detan.Driver.det_cp_writes)
-        (run.Detan.Driver.base_trail_reads + run.Detan.Driver.base_trail_writes)
-        (run.Detan.Driver.det_trail_reads + run.Detan.Driver.det_trail_writes)
-        run.Detan.Driver.det_cp_elided;
+        run.Benchlib.Driver.n_pes run.Benchlib.Driver.base_total_refs
+        oracle.Detan.Oracle.trials
+        (List.length oracle.Detan.Oracle.violations)
+        cp_base cp_det tr_base tr_det run.Benchlib.Driver.cp_elided;
       List.iteri
         (fun i v ->
           if i < 8 || verbose then
             Format.printf "    %a@." Detan.Oracle.pp_violation v)
-        run.Detan.Driver.oracle.Detan.Oracle.violations)
+        oracle.Detan.Oracle.violations)
     r.Detan.Driver.runs;
   if not r.Detan.Driver.lint_clean then
     List.iter
@@ -61,7 +62,7 @@ let pp_report verbose (r : Detan.Driver.report) =
         Format.printf "    %s/%d: %d/%d chains det@." name arity d t)
       el.Detan.Driver.per_pred
 
-let pp_counts (b : Benchlib.Programs.benchmark) =
+let pp_counts _defect (b : Benchlib.Programs.benchmark) =
   let a = Detan.Driver.analyze b in
   Format.printf "== %s ==@." b.Benchlib.Programs.name;
   List.iter
@@ -71,104 +72,18 @@ let pp_counts (b : Benchlib.Programs.benchmark) =
         (Detan.Lattice.to_string c))
     a.Detan.Driver.counts
 
-let run_cmd bench_names pes quick defect counts verbose json_out =
-  let pool =
-    (if quick then Benchlib.Inputs.small_benchmarks ()
-     else Benchlib.Inputs.default_benchmarks ())
-    @ Detan.Fixtures.all
-  in
-  let benchmarks = Benchlib.Cli.select ~pool bench_names in
-  if counts then List.iter pp_counts benchmarks
-  else begin
-    match defect with
-    | None ->
-      let dirty = ref 0 in
-      let reports =
-        List.map
-          (fun (b : Benchlib.Programs.benchmark) ->
-            let r = Detan.Driver.run ~pes b in
-            pp_report verbose r;
-            if
-              not
-                (r.Detan.Driver.oracle_ok && r.Detan.Driver.answers_ok
-               && r.Detan.Driver.lint_clean)
-            then begin
-              incr dirty;
-              Format.printf "  FAIL: %s@." b.Benchlib.Programs.name
-            end;
-            r)
-          benchmarks
-      in
-      Benchlib.Cli.write_json json_out (Detan.Driver.json_of_reports reports);
-      if !dirty > 0 then exit 1
-    | Some dname ->
-      let d =
-        match Detan.Defects.find dname with
-        | Some d -> d
-        | None -> invalid_arg ("unknown defect " ^ dname)
-      in
-      (* run the weakened analysis over the pool plus the defect's
-         dedicated probes; detection anywhere counts *)
-      let probes =
-        List.filter
-          (fun (p : Benchlib.Programs.benchmark) ->
-            not
-              (List.exists
-                 (fun (b : Benchlib.Programs.benchmark) ->
-                   b.Benchlib.Programs.name = p.Benchlib.Programs.name)
-                 benchmarks))
-          d.Detan.Defects.probes
-      in
-      let reports =
-        List.map
-          (fun b -> Detan.Driver.run ~defect:d ~pes b)
-          (benchmarks @ probes)
-      in
-      if Detan.Driver.defect_detected ~defect:d reports then begin
-        Format.printf "defect %s detected (%s)@." d.Detan.Defects.name
-          d.Detan.Defects.detector;
-        exit 1
-      end
-      else
-        Format.printf "MISSED: seeded defect %s escaped detection@."
-          d.Detan.Defects.name
-  end
-
-open Cmdliner
-
-let bench_names =
-  Benchlib.Programs.all_names @ Benchlib.Cli.names_of Detan.Fixtures.all
-
-let counts_flag =
-  Arg.(
-    value & flag
-    & info [ "counts" ]
-        ~doc:"Print the per-predicate success-count grades and stop.")
-
-let cmd =
-  let doc =
-    "static determinacy analysis: choice-point elision certificates, \
-     shallow-backtracking compile, and the trace-replay soundness oracle"
-  in
-  Cmd.v
-    (Cmd.info "detan" ~doc)
-    Term.(
-      const (fun bench _benchmarks pes quick defect counts verbose json ->
-          run_cmd bench pes quick defect counts verbose json)
-      $ Benchlib.Cli.bench_arg
-          ~doc:"Benchmark(s) to analyze (default: all, plus the fixtures)."
-          bench_names
-      $ Benchlib.Cli.benchmarks_flag
-      $ Benchlib.Cli.pes_arg
-          ~doc:"PE counts both machines run and the oracle is checked at."
-          Detan.Driver.default_pes
-      $ Benchlib.Cli.quick_arg
-      $ Benchlib.Cli.defect_arg
-          ~doc:
-            "Weaken the analysis with the named seeded defect first and \
-             expect its detector (oracle, answer comparison or wamlint) \
-             to flag it; exit 1 on detection, 0 when it escapes."
-          Detan.Defects.names
-      $ counts_flag $ Benchlib.Cli.verbose_flag $ Benchlib.Cli.json_arg)
-
-let () = Benchlib.Cli.eval cmd
+let () =
+  Benchlib.Cli.main ~name:"detan"
+    ~doc:
+      "static determinacy analysis: choice-point elision certificates, \
+       shallow-backtracking compile, and the trace-replay soundness oracle"
+    ~pes_doc:"PE counts both machines run and the oracle is checked at."
+    ~defect_doc:
+      "Weaken the analysis with the named seeded defect first and expect \
+       its detector (oracle, answer comparison or wamlint) to flag it; exit \
+       1 on detection, 0 when it escapes."
+    ~stop:
+      ( "counts",
+        "Print the per-predicate success-count grades and stop.",
+        pp_counts )
+    ~pp_report Detan.Driver.tool

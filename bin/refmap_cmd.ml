@@ -15,10 +15,10 @@
    tag precision/recall against the per-address ground truth.
 
    --defect damages the analysis first and expects its detector to
-   object; exit status is 0 iff every benchmark matched the
-   expectation (clean normally, flagged under --defect). *)
+   object; exit status is nonzero exactly when something was flagged,
+   so CI asserts detection with a plain `!` negation. *)
 
-let pp_report quiet verbose (r : Refmap.Driver.report) =
+let pp_report verbose (r : Refmap.Driver.report) =
   let cert = r.Refmap.Driver.a.Refmap.Driver.certify in
   Format.printf "%-8s preds %-3d groups %d/%d certified  %s@."
     r.Refmap.Driver.a.Refmap.Driver.bench.Benchlib.Programs.name
@@ -49,100 +49,28 @@ let pp_report quiet verbose (r : Refmap.Driver.report) =
                    certifies %d@."
       r.Refmap.Driver.a.Refmap.Driver.stats.Prolog.Annotate.static_safe
       cert.Refmap.Certify.certified;
-  if (not quiet) && verbose then
+  if verbose then
     List.iter
       (fun e -> Format.printf "  %a@." Refmap.Certify.pp_entry e)
       cert.Refmap.Certify.entries
 
-let run_cmd bench_names pes quick defect summaries verbose json_out =
-  let pool =
-    if quick then Benchlib.Inputs.small_benchmarks ()
-    else Benchlib.Inputs.default_benchmarks ()
-  in
-  let benchmarks = Benchlib.Cli.select ~pool bench_names in
-  if summaries then
-    List.iter
-      (fun b ->
-        let a = Refmap.Driver.analyze ?defect b in
-        Format.printf "== %s ==@.%a@." b.Benchlib.Programs.name
-          Refmap.Static.pp a.Refmap.Driver.static)
-      benchmarks
-  else begin
-    (* [dirty] counts benchmarks where something was flagged (oracle
-       violation, audit mismatch, dirty trace) — the expected outcome
-       under --defect, a failure otherwise; [missed] counts damaged
-       analyses that came back clean.  Exit is nonzero exactly when
-       something was flagged, so a CI defect fixture asserts detection
-       with a plain `!` negation (tracecheck's convention). *)
-    let dirty = ref 0 and missed = ref 0 in
-    let reports =
-      List.map
-        (fun b ->
-          let r = Refmap.Driver.run ?defect ~pes b in
-          (match defect with
-          | None ->
-            pp_report false verbose r;
-            if
-              not
-                (r.Refmap.Driver.oracle_ok && r.Refmap.Driver.audit_ok
-                && r.Refmap.Driver.certified_tracecheck_clean)
-            then begin
-              incr dirty;
-              Format.printf "  FAIL: %s@." b.Benchlib.Programs.name
-            end
-          | Some d ->
-            if Refmap.Driver.defect_detected ~defect:d r then begin
-              incr dirty;
-              Format.printf "%-8s defect %s detected@."
-                b.Benchlib.Programs.name d
-            end
-            else begin
-              incr missed;
-              Format.printf "%-8s MISSED: seeded defect %s escaped detection@."
-                b.Benchlib.Programs.name d;
-              pp_report true verbose r
-            end);
-          r)
-        benchmarks
-    in
-    Benchlib.Cli.write_json json_out (Refmap.Driver.json_of_reports reports);
-    if !missed > 0 then
-      Format.printf "%d damaged analysis(es) escaped detection@." !missed;
-    if !dirty > 0 then exit 1
-  end
+let pp_summaries defect (b : Benchlib.Programs.benchmark) =
+  let a = Refmap.Driver.analyze ?defect b in
+  Format.printf "== %s ==@.%a@." b.Benchlib.Programs.name Refmap.Static.pp
+    a.Refmap.Driver.static
 
-open Cmdliner
-
-let summaries_flag =
-  Arg.(
-    value & flag
-    & info [ "summaries" ]
-        ~doc:"Print the per-predicate area/mode summaries and stop.")
-
-let cmd =
-  let doc =
-    "static memory-area access analysis: parcall race-freedom \
-     certification and shareability-tag prediction"
-  in
-  Cmd.v
-    (Cmd.info "refmap" ~doc)
-    Term.(
-      const (fun bench _benchmarks pes quick defect summaries verbose json ->
-          run_cmd bench pes quick defect summaries verbose json)
-      $ Benchlib.Cli.bench_arg Benchlib.Programs.all_names
-      $ Benchlib.Cli.benchmarks_flag
-      $ Benchlib.Cli.pes_arg
-          ~doc:"PE counts the soundness oracle is checked at."
-          Refmap.Driver.default_pes
-      $ Benchlib.Cli.quick_arg
-      $ Benchlib.Cli.defect_arg
-          ~doc:
-            "Damage the analysis with the named seeded defect first and \
-             expect the oracle (or the certification audit) to flag it \
-             (exit 1 when the defect escapes detection)."
-          (List.map
-             (fun (d : Refmap.Defects.defect) -> d.Refmap.Defects.name)
-             Refmap.Defects.all)
-      $ summaries_flag $ Benchlib.Cli.verbose_flag $ Benchlib.Cli.json_arg)
-
-let () = Benchlib.Cli.eval cmd
+let () =
+  Benchlib.Cli.main ~name:"refmap"
+    ~doc:
+      "static memory-area access analysis: parcall race-freedom \
+       certification and shareability-tag prediction"
+    ~pes_doc:"PE counts the soundness oracle is checked at."
+    ~defect_doc:
+      "Damage the analysis with the named seeded defect first and expect \
+       the oracle (or the certification audit) to flag it; exit 1 on \
+       detection, 0 when it escapes."
+    ~stop:
+      ( "summaries",
+        "Print the per-predicate area/mode summaries and stop.",
+        pp_summaries )
+    ~pp_report Refmap.Driver.tool

@@ -1,13 +1,13 @@
-(* Shared cmdliner vocabulary of the analysis CLIs.
+(* Shared cmdliner vocabulary and run loop of the analysis CLIs.
 
    Every analysis binary (detan, refmap, tracecheck, bindan, ...)
    parses the same argument families: a benchmark selection drawn
    from a pool, PE-count lists, the --quick trace-size switch, a
    seeded-defect selector, --verbose and --json FILE.  This module
    holds the converters, the argument builders (parameterized on the
-   name pool and defaults) and the two helpers every tool repeats:
-   resolving a selection against its pool and writing a JSON report
-   file. *)
+   name pool and defaults), the helpers every tool repeats (resolving
+   a selection against its pool, writing a JSON report file) and
+   {!main}, the whole command of an analysis built on {!Driver}. *)
 
 open Cmdliner
 
@@ -81,11 +81,91 @@ let select ~pool = function
 (* Write a report file when --json was given. *)
 let write_json json_out contents =
   Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents))
+    (fun path -> Resilience.Atomic_io.write_string path contents)
     json_out
 
 let eval cmd = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 1
+
+(* ------------------------------------------------------------------ *)
+(* The analysis CLIs.                                                 *)
+
+(* One invocation.  With the stop flag, print [stop]'s view of each
+   benchmark and stop.  Clean: run the pool, print every report and a
+   FAIL line for each benchmark whose checks object.  Under --defect:
+   run the damaged analysis over the pool plus the defect's probes and
+   print one line saying whether any report trips its detector.  The
+   exit status is 1 exactly when something was flagged (a failure when
+   clean, the expected outcome under --defect), so CI asserts
+   detection with a plain `!` negation. *)
+let run_analysis (tool : _ Driver.t) ~pp_report ~stop bench_names pes quick
+    defect stop_flag verbose json_out =
+  let pool =
+    (if quick then Inputs.small_benchmarks () else Inputs.default_benchmarks ())
+    @ tool.Driver.fixtures
+  in
+  let benchmarks = select ~pool bench_names in
+  let defect =
+    Option.map
+      (fun n -> List.find (fun (d : Driver.defect) -> d.name = n) tool.defects)
+      defect
+  in
+  if stop_flag then List.iter (stop defect) benchmarks
+  else begin
+    let reports, flagged =
+      match defect with
+      | None ->
+        let reports =
+          List.map
+            (fun (b : Programs.benchmark) ->
+              let r = tool.run None pes b in
+              pp_report verbose r;
+              if not (tool.clean r) then
+                Format.printf "  FAIL: %s@." b.Programs.name;
+              r)
+            benchmarks
+        in
+        (reports, not (List.for_all tool.clean reports))
+      | Some d ->
+        let fresh (p : Programs.benchmark) =
+          not
+            (List.exists
+               (fun (b : Programs.benchmark) -> b.Programs.name = p.Programs.name)
+               benchmarks)
+        in
+        let reports =
+          List.map (tool.run defect pes)
+            (benchmarks @ List.filter fresh d.probes)
+        in
+        let hit = Driver.detected tool d reports in
+        if hit then
+          Format.printf "defect %s detected (%s)@." d.name
+            (Driver.detector_name d.detector)
+        else Format.printf "MISSED: seeded defect %s escaped detection@." d.name;
+        (reports, hit)
+    in
+    write_json json_out (Driver.json_of_reports tool reports);
+    if flagged then exit 1
+  end
+
+(* The whole command of an analysis: [stop] is the print-and-stop flag
+   as (name, doc, printer). *)
+let main ~name ~doc ~pes_doc ~defect_doc ~stop:(stop_name, stop_doc, stop)
+    ~pp_report (tool : _ Driver.t) =
+  let bench_doc =
+    if tool.Driver.fixtures = [] then "Benchmark(s) to analyze (default: all)."
+    else "Benchmark(s) to analyze (default: all, plus the fixtures)."
+  in
+  eval
+    (Cmd.v (Cmd.info name ~doc)
+       Term.(
+         const (fun bench _benchmarks ->
+             run_analysis tool ~pp_report ~stop bench)
+         $ bench_arg ~doc:bench_doc
+             (Programs.all_names @ names_of tool.fixtures)
+         $ benchmarks_flag
+         $ pes_arg ~doc:pes_doc Driver.default_pes
+         $ quick_arg
+         $ defect_arg ~doc:defect_doc
+             (List.map (fun (d : Driver.defect) -> d.name) tool.defects)
+         $ Arg.(value & flag & info [ stop_name ] ~doc:stop_doc)
+         $ verbose_flag $ json_arg))

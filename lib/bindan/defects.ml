@@ -15,79 +15,70 @@
    [probes] lists extra fixture programs (beyond the paper's
    benchmarks) shaped to trip the specific weakened rule. *)
 
-type t = {
-  name : string;
-  detector : string;  (** "oracle" | "lint" *)
-  description : string;
-  probes : Benchlib.Programs.benchmark list;
-}
-
 let all =
-  [
-    {
-      name = "force_uninit";
-      detector = "oracle";
-      description =
-        "certify every shape-compatible argument as uninitialized \
-         output, ignoring freeness, written-first flow and dispatch \
-         determinacy; qsort's bound list arguments then hit _u gets \
-         whose baseline windows never write the cell";
-      probes = [];
-    };
-    {
-      name = "cond_blind";
-      detector = "oracle";
-      description =
-        "treat every call site as clean and every dispatch as det: a \
-         cell bound after a nondeterministic generator counts as \
-         unconditional, its untrailed binding goes stale on retry";
-      probes = [ Fixtures.gen ];
-    };
-    {
-      name = "rigid_any";
-      detector = "oracle";
-      description =
-        "certify rigid first arguments without the groundness proof; \
-         an indexed predicate called with a free argument binds inside \
-         a window the _r form assumes read-only";
-      probes = [ Fixtures.mk ];
-    };
-    {
-      name = "nt_alias";
-      detector = "oracle";
-      description =
-        "any variable side of =/2 counts as definitely free; a \
-         conditional bind goes untrailed and the retry re-reads the \
-         stale cell";
-      probes = [ Fixtures.alt ];
-    };
-    {
-      name = "uninit_escape";
-      detector = "oracle";
-      description =
-        "compile every first-occurrence variable put as put_uninit \
-         regardless of the callee certificate; a consumer that reads \
-         before writing sees the never-initialized cell";
-      probes = [ Fixtures.esc ];
-    };
-    {
-      name = "nt_wrong_builtin";
-      detector = "lint";
-      description =
-        "extend the no-trail certificate to =</2; wamlint's nt-builtin \
-         rule rejects the emitted builtin_nt";
-      probes = [];
-    };
-  ]
-
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
+  Benchlib.Driver.
+    [
+      {
+        name = "force_uninit";
+        detector = Oracle;
+        description =
+          "certify every shape-compatible argument as uninitialized \
+           output, ignoring freeness, written-first flow and dispatch \
+           determinacy; qsort's bound list arguments then hit _u gets \
+           whose baseline windows never write the cell";
+        probes = [];
+      };
+      {
+        name = "cond_blind";
+        detector = Oracle;
+        description =
+          "treat every call site as clean and every dispatch as det: a \
+           cell bound after a nondeterministic generator counts as \
+           unconditional, its untrailed binding goes stale on retry";
+        probes = [ Fixtures.gen ];
+      };
+      {
+        name = "rigid_any";
+        detector = Oracle;
+        description =
+          "certify rigid first arguments without the groundness proof; \
+           an indexed predicate called with a free argument binds inside \
+           a window the _r form assumes read-only";
+        probes = [ Fixtures.mk ];
+      };
+      {
+        name = "nt_alias";
+        detector = Oracle;
+        description =
+          "any variable side of =/2 counts as definitely free; a \
+           conditional bind goes untrailed and the retry re-reads the \
+           stale cell";
+        probes = [ Fixtures.alt ];
+      };
+      {
+        name = "uninit_escape";
+        detector = Oracle;
+        description =
+          "compile every first-occurrence variable put as put_uninit \
+           regardless of the callee certificate; a consumer that reads \
+           before writing sees the never-initialized cell";
+        probes = [ Fixtures.esc ];
+      };
+      {
+        name = "nt_wrong_builtin";
+        detector = Lint;
+        description =
+          "extend the no-trail certificate to =</2; wamlint's nt-builtin \
+           rule rejects the emitted builtin_nt";
+        probes = [];
+      };
+    ]
 
 (* Analysis weakening + plan flags for a defect. *)
 let weakening ?defect () =
   match defect with
   | None -> Absint.sound
-  | Some d -> (
+  | Some (d : Benchlib.Driver.defect) -> (
     match d.name with
     | "force_uninit" -> { Absint.sound with wk_force_uninit = true }
     | "cond_blind" -> { Absint.sound with wk_cond_blind = true }
@@ -98,6 +89,7 @@ let weakening ?defect () =
 
 let plan_flags ?defect () =
   match defect with
-  | Some d when d.name = "uninit_escape" -> (true, false)
+  | Some (d : Benchlib.Driver.defect) when d.name = "uninit_escape" ->
+    (true, false)
   | Some d when d.name = "nt_wrong_builtin" -> (false, true)
   | _ -> (false, false)

@@ -30,26 +30,12 @@ type analysis = {
   analysis_ms : float;
 }
 
-type area_delta = {
-  ad_area : Trace.Area.t;
-  ad_base_reads : int;
-  ad_base_writes : int;
-  ad_bind_reads : int;
-  ad_bind_writes : int;
-}
+(* The bind build's checks: the site oracle replays the base trace,
+   tracecheck the bind trace. *)
+type checks = { oracle : Oracle.report; trace_summary : Tracecheck.summary }
 
-type pe_run = {
-  n_pes : int;
-  records : int;  (** baseline trace length (total refs) *)
-  oracle : Oracle.report;
-  answers_equal : bool;
-  trace_summary : Tracecheck.summary;  (** over the bind trace *)
-  areas : area_delta list;
-  base_total_refs : int;
-  bind_total_refs : int;
-  trail_elided : int;  (** bind run counter *)
-  deref_skipped : int;
-}
+type pe_run = checks Benchlib.Driver.pe_run
+(** The variant is the bind build. *)
 
 type report = {
   a : analysis;
@@ -71,7 +57,7 @@ let certs_any r =
 let analyze ?defect (b : Benchlib.Programs.benchmark) =
   let det_a = Detan.Driver.analyze b in
   let t0 = Unix.gettimeofday () in
-  let db = Prolog.Database.of_string b.Benchlib.Programs.src in
+  let { Benchlib.Driver.db; patterns; transform } = det_a.Detan.Driver.front in
   let query_db =
     Prolog.Database.of_string
       ("'$bindan_query' :- " ^ b.Benchlib.Programs.query ^ ".")
@@ -79,19 +65,17 @@ let analyze ?defect (b : Benchlib.Programs.benchmark) =
   let weakening = Defects.weakening ?defect () in
   let uninit_escape, wrong_builtin = Defects.plan_flags ?defect () in
   let absr =
-    Absint.analyze ~weakening
-      ~db:(det_a.Detan.Driver.transform db)
-      ~query_db ~patterns:det_a.Detan.Driver.patterns
+    Absint.analyze ~weakening ~db:(transform db) ~query_db ~patterns
       ~chains:det_a.Detan.Driver.det_chains ()
   in
   let plan = Plan.of_result ~uninit_escape ~wrong_builtin absr in
   let base_prog =
     Benchlib.Runner.prepare ~parallel:true ~det:det_a.Detan.Driver.plan
-      ~transform:det_a.Detan.Driver.transform b
+      ~transform b
   in
   let bind_prog =
     Benchlib.Runner.prepare ~parallel:true ~det:det_a.Detan.Driver.plan
-      ~bind:plan.Plan.plan ~transform:det_a.Detan.Driver.transform b
+      ~bind:plan.Plan.plan ~transform b
   in
   let lint_diags = Wam.Wamlint.check_program bind_prog in
   let analysis_ms =
@@ -99,74 +83,34 @@ let analyze ?defect (b : Benchlib.Programs.benchmark) =
   in
   { bench = b; det_a; absr; plan; base_prog; bind_prog; lint_diags; analysis_ms }
 
-let default_pes = Detan.Driver.default_pes
-
-let run ?defect ?(pes = default_pes) b =
+let run ?defect ?(pes = Benchlib.Driver.default_pes) ?on_pair b =
   let a = analyze ?defect b in
-  let pes = List.sort_uniq compare pes in
   let runs =
-    List.map
-      (fun n_pes ->
-        let base =
-          Benchlib.Runner.run_rapwam ~keep_trace:true
-            ~transform:a.det_a.Detan.Driver.transform
-            ~det:a.det_a.Detan.Driver.plan ~n_pes b
-        in
-        let bind =
-          Benchlib.Runner.run_rapwam ~keep_trace:true
-            ~transform:a.det_a.Detan.Driver.transform
-            ~det:a.det_a.Detan.Driver.plan ~bind:a.plan.Plan.plan ~n_pes b
-        in
-        let oracle =
-          Oracle.check ~symbols:a.base_prog.Wam.Program.symbols
-            ~base_code:a.base_prog.Wam.Program.code
-            ~bind_code:a.bind_prog.Wam.Program.code
-            base.Benchlib.Runner.trace
-        in
-        let trace_summary =
-          Tracecheck.check_buffer bind.Benchlib.Runner.trace
-        in
-        let areas =
-          List.map
-            (fun ar ->
-              {
-                ad_area = ar;
-                ad_base_reads =
-                  Trace.Areastats.reads base.Benchlib.Runner.area_stats ar;
-                ad_base_writes =
-                  Trace.Areastats.writes base.Benchlib.Runner.area_stats ar;
-                ad_bind_reads =
-                  Trace.Areastats.reads bind.Benchlib.Runner.area_stats ar;
-                ad_bind_writes =
-                  Trace.Areastats.writes bind.Benchlib.Runner.area_stats ar;
-              })
-            Trace.Area.all
-        in
+    Benchlib.Driver.paired ?on_pair ~pes
+      ~run:(fun bind n_pes ->
+        Benchlib.Runner.run_rapwam ~keep_trace:true
+          ~transform:a.det_a.Detan.Driver.front.Benchlib.Driver.transform
+          ~det:a.det_a.Detan.Driver.plan
+          ?bind:(if bind then Some a.plan.Plan.plan else None)
+          ~n_pes b)
+      (fun base bind ->
         {
-          n_pes;
-          records = base.Benchlib.Runner.total_refs;
-          oracle;
-          answers_equal = Benchlib.Runner.answers_agree base bind;
-          trace_summary;
-          areas;
-          base_total_refs = base.Benchlib.Runner.total_refs;
-          bind_total_refs = bind.Benchlib.Runner.total_refs;
-          trail_elided = bind.Benchlib.Runner.trail_elided;
-          deref_skipped = bind.Benchlib.Runner.deref_skipped;
+          oracle =
+            Oracle.check ~symbols:a.base_prog.Wam.Program.symbols
+              ~base_code:a.base_prog.Wam.Program.code
+              ~bind_code:a.bind_prog.Wam.Program.code
+              base.Benchlib.Runner.trace;
+          trace_summary = Tracecheck.check_buffer bind.Benchlib.Runner.trace;
         })
-      pes
   in
-  let trail r =
-    let d = List.find (fun d -> d.ad_area = Trace.Area.Trail) r.areas in
-    (d.ad_base_reads + d.ad_base_writes, d.ad_bind_reads + d.ad_bind_writes)
-  in
+  let all f = List.for_all (fun (r : pe_run) -> f r) runs in
   let rep =
     {
       a;
       runs;
-      oracle_ok = List.for_all (fun r -> Oracle.ok r.oracle) runs;
-      answers_ok = List.for_all (fun r -> r.answers_equal) runs;
-      trace_ok = List.for_all (fun r -> Tracecheck.ok r.trace_summary) runs;
+      oracle_ok = all (fun r -> Oracle.ok r.checks.oracle);
+      answers_ok = all (fun r -> r.answers_equal);
+      trace_ok = all (fun r -> Tracecheck.ok r.checks.trace_summary);
       lint_clean = a.lint_diags = [];
       trail_drop = false;
     }
@@ -175,24 +119,10 @@ let run ?defect ?(pes = default_pes) b =
     rep with
     trail_drop =
       certs_any rep
-      && List.for_all
-           (fun r ->
-             let b, s = trail r in
-             s <= b && (b = 0 || s < b))
-           runs;
+      && all (fun r ->
+             let b, s = Benchlib.Driver.area_refs r Trace.Area.Trail in
+             s <= b && (b = 0 || s < b));
   }
-
-(* A seeded defect is detected when its designated detector fires on
-   at least one probed program. *)
-let defect_detected ~(defect : Defects.t) reports =
-  let flagged r =
-    match defect.Defects.detector with
-    | "oracle" -> not r.oracle_ok
-    | "answers" -> not r.answers_ok
-    | "lint" -> not r.lint_clean
-    | other -> invalid_arg ("Bindan.Driver.defect_detected: " ^ other)
-  in
-  List.exists flagged reports
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                              *)
@@ -213,7 +143,7 @@ let json_of_report r =
      \"lint_clean\": %b, \"trail_drop\": %b, \"runs\": ["
     r.oracle_ok r.answers_ok r.trace_ok r.lint_clean r.trail_drop;
   List.iteri
-    (fun i run ->
+    (fun i (run : pe_run) ->
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b
         "{\"pes\": %d, \"records\": %d, \"oracle_sites\": %d, \
@@ -221,25 +151,38 @@ let json_of_report r =
          \"answers_equal\": %b, \"tracecheck_violations\": %d, \
          \"base_total_refs\": %d, \"bind_total_refs\": %d, \
          \"trail_elided\": %d, \"deref_skipped\": %d, \"areas\": ["
-        run.n_pes run.records run.oracle.Oracle.sites_checked
-        run.oracle.Oracle.windows
-        (List.length run.oracle.Oracle.violations)
-        run.answers_equal run.trace_summary.Tracecheck.n_violations
-        run.base_total_refs run.bind_total_refs run.trail_elided
+        run.n_pes run.base_total_refs run.checks.oracle.Oracle.sites_checked
+        run.checks.oracle.Oracle.windows
+        (List.length run.checks.oracle.Oracle.violations)
+        run.answers_equal run.checks.trace_summary.Tracecheck.n_violations
+        run.base_total_refs run.variant_total_refs run.trail_elided
         run.deref_skipped;
       List.iteri
-        (fun j d ->
+        (fun j (d : Benchlib.Driver.area_delta) ->
           if j > 0 then Buffer.add_string b ", ";
           Printf.bprintf b
             "{\"area\": \"%s\", \"base_reads\": %d, \"base_writes\": %d, \
              \"bind_reads\": %d, \"bind_writes\": %d}"
             (Trace.Area.slug d.ad_area)
-            d.ad_base_reads d.ad_base_writes d.ad_bind_reads d.ad_bind_writes)
+            d.ad_base_reads d.ad_base_writes d.ad_variant_reads
+            d.ad_variant_writes)
         run.areas;
       Buffer.add_string b "]}")
     r.runs;
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let json_of_reports rs =
-  "[\n  " ^ String.concat ",\n  " (List.map json_of_report rs) ^ "\n]\n"
+let tool =
+  {
+    Benchlib.Driver.fixtures = Fixtures.all;
+    defects = Defects.all;
+    run = (fun defect pes b -> run ?defect ~pes b);
+    clean = (fun r -> r.oracle_ok && r.answers_ok && r.trace_ok && r.lint_clean);
+    fires =
+      (fun r -> function
+        | Benchlib.Driver.Oracle -> not r.oracle_ok
+        | Answers -> not r.answers_ok
+        | Lint -> not r.lint_clean
+        | Audit -> false);
+    json_of_report;
+  }

@@ -110,10 +110,10 @@ let cell_area a = a = Trace.Area.Heap || a = Trace.Area.Env_pvar
 let check ~symbols ~base_code ~bind_code buf =
   let n = Wam.Code.length base_code in
   let violations = ref [] in
-  let prof = Wam.Profile.create symbols base_code in
+  let replay = Wam.Replay.create base_code in
   let owner_name idx =
-    match Wam.Profile.owner prof idx with
-    | Some c -> Wam.Profile.spec prof c
+    match Wam.Replay.range_of replay idx with
+    | Some i -> Wam.Symbols.spec_string symbols (Wam.Replay.fid replay i)
     | None -> "?"
   in
   let sites : kind option array = Array.make n None in
@@ -155,16 +155,10 @@ let check ~symbols ~base_code ~bind_code buf =
   let s_tbl : (int, int * bool ref) Hashtbl.t = Hashtbl.create 64 in
   (* pending-uninit set P: addr -> originating site *)
   let p_tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let cur : (int, window option ref) Hashtbl.t = Hashtbl.create 8 in
-  let trail_read : (int, bool ref) Hashtbl.t = Hashtbl.create 8 in
-  let slot tbl pe mk =
-    match Hashtbl.find_opt tbl pe with
-    | Some r -> r
-    | None ->
-      let r = mk () in
-      Hashtbl.add tbl pe r;
-      r
-  in
+  (* per PE: the open site window, and whether the last access was a
+     Trail read *)
+  let cur = Wam.Replay.per_pe (fun () -> None) in
+  let trail_read = Wam.Replay.per_pe (fun () -> false) in
   let violate pe site area kind addr =
     violations :=
       {
@@ -237,63 +231,51 @@ let check ~symbols ~base_code ~bind_code buf =
           violate pe w.wn_site Trace.Area.Heap "uninit-read" addr)
       w.wn_pending
   in
-  Trace.Sink.Buffer_sink.iter_entries
-    (function
-      | Trace.Ref_record.Sync _ -> ()
-      | Trace.Ref_record.Access r ->
-        let tr = slot trail_read r.pe (fun () -> ref false) in
-        let cw = slot cur r.pe (fun () -> ref None) in
-        if r.area = Trace.Area.Code && r.op = Trace.Ref_record.Read then begin
-          let idx = r.addr - Wam.Layout.code_base in
-          if idx >= 0 && idx < n then begin
-            incr fetches;
-            (match !cw with Some w -> finalize r.pe w | None -> ());
-            cw :=
-              (match sites.(idx) with
-              | Some k ->
-                Some { wn_site = idx; wn_kind = k; wn_acc = []; wn_pending = [] }
-              | None -> None)
-          end;
-          tr := false
-        end
-        else begin
-          (* restore detector and P bookkeeping run in stream order,
-             window or not *)
-          if cell_area r.area then begin
-            (match (r.op, Hashtbl.find_opt s_tbl r.addr) with
-            | Trace.Ref_record.Write, Some (_site, restored) ->
-              if !tr then restored := true
-              else begin
-                Hashtbl.remove s_tbl r.addr;
-                ignore restored
-              end
-            | Trace.Ref_record.Read, Some (site, restored) when !restored ->
-              violate r.pe site r.area "stale-bind" r.addr;
-              Hashtbl.remove s_tbl r.addr
-            | _ -> ());
-            match r.op with
-            | Trace.Ref_record.Write ->
-              Hashtbl.remove p_tbl r.addr;
-              (match !cw with Some w -> w.wn_acc <- { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc | None -> ())
-            | Trace.Ref_record.Read -> (
-              (match Hashtbl.find_opt p_tbl r.addr with
-              | Some p_site -> (
-                match !cw with
-                | Some w
-                  when w.wn_kind = K_uninit_get || w.wn_kind = K_builtin_nt
-                       || w.wn_kind = K_value_nt ->
-                  w.wn_pending <- r.addr :: w.wn_pending
-                | _ -> violate r.pe p_site r.area "uninit-read" r.addr)
-              | None -> ());
-              match !cw with
-              | Some w ->
-                w.wn_acc <- { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc
-              | None -> ())
-          end;
-          tr := r.area = Trace.Area.Trail && r.op = Trace.Ref_record.Read
-        end)
-    buf;
-  Hashtbl.iter (fun pe cw -> match !cw with Some w -> finalize pe w | None -> ()) cur;
+  let on_fetch (r : Trace.Ref_record.t) idx =
+    incr fetches;
+    Option.iter (finalize r.pe) cur.(r.pe);
+    cur.(r.pe) <-
+      Option.map
+        (fun k -> { wn_site = idx; wn_kind = k; wn_acc = []; wn_pending = [] })
+        sites.(idx);
+    trail_read.(r.pe) <- false
+  in
+  let on_data (r : Trace.Ref_record.t) =
+    let cw = cur.(r.pe) in
+    let record (w : window) =
+      w.wn_acc <- { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc
+    in
+    (* restore detector and P bookkeeping run in stream order, window
+       or not *)
+    if cell_area r.area then begin
+      (match (r.op, Hashtbl.find_opt s_tbl r.addr) with
+      | Trace.Ref_record.Write, Some (_site, restored) ->
+        if trail_read.(r.pe) then restored := true
+        else Hashtbl.remove s_tbl r.addr
+      | Trace.Ref_record.Read, Some (site, restored) when !restored ->
+        violate r.pe site r.area "stale-bind" r.addr;
+        Hashtbl.remove s_tbl r.addr
+      | _ -> ());
+      match r.op with
+      | Trace.Ref_record.Write ->
+        Hashtbl.remove p_tbl r.addr;
+        Option.iter record cw
+      | Trace.Ref_record.Read ->
+        (match Hashtbl.find_opt p_tbl r.addr with
+        | Some p_site -> (
+          match cw with
+          | Some w
+            when w.wn_kind = K_uninit_get || w.wn_kind = K_builtin_nt
+                 || w.wn_kind = K_value_nt ->
+            w.wn_pending <- r.addr :: w.wn_pending
+          | _ -> violate r.pe p_site r.area "uninit-read" r.addr)
+        | None -> ());
+        Option.iter record cw
+    end;
+    trail_read.(r.pe) <- r.area = Trace.Area.Trail && r.op = Trace.Ref_record.Read
+  in
+  Wam.Replay.iter replay ~fetch:on_fetch ~data:on_data buf;
+  Array.iteri (fun pe w -> Option.iter (finalize pe) w) cur;
   {
     sites_checked = !n_sites;
     fetches = !fetches;

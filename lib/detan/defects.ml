@@ -14,67 +14,58 @@
    [probes] lists extra fixture programs (beyond the paper's
    benchmarks) shaped to trip the specific weakened rule. *)
 
-type t = {
-  name : string;
-  detector : string;  (** "oracle" | "answers" | "lint" *)
-  description : string;
-  probes : Benchlib.Programs.benchmark list;
-}
-
 let all =
-  [
-    {
-      name = "force_certify";
-      detector = "oracle";
-      description =
-        "certify every multi-clause chain unconditionally; the \
-         failure-driven once_d/2 loop in deriv backtracks into its \
-         elided second clause";
-      probes = [];
-    };
-    {
-      name = "guard_operands";
-      detector = "oracle";
-      description =
-        "arithmetic-guard exclusion compares operators only, ignoring \
-         operand paths: X<Y and Z>=X count as complementary";
-      probes = [ Fixtures.guards ];
-    };
-    {
-      name = "cut_after_call";
-      detector = "oracle";
-      description =
-        "cut rule accepts a cut anywhere in the body, even after a \
-         user call that commits the shallow frame first";
-      probes = [ Fixtures.gen_cut ];
-    };
-    {
-      name = "var_head_blind";
-      detector = "answers";
-      description =
-        "declare every switch_on_term variable chain dead regardless \
-         of the call pattern; calls with an unbound first argument \
-         fail instead of enumerating";
-      probes = [ Fixtures.pick ];
-    };
-    {
-      name = "orphan_chain";
-      detector = "lint";
-      description =
-        "emit certified chains headed by det_retry instead of \
-         det_try; wamlint's orphan-chain rule rejects the code";
-      probes = [];
-    };
-  ]
-
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
+  Benchlib.Driver.
+    [
+      {
+        name = "force_certify";
+        detector = Oracle;
+        description =
+          "certify every multi-clause chain unconditionally; the \
+           failure-driven once_d/2 loop in deriv backtracks into its \
+           elided second clause";
+        probes = [];
+      };
+      {
+        name = "guard_operands";
+        detector = Oracle;
+        description =
+          "arithmetic-guard exclusion compares operators only, ignoring \
+           operand paths: X<Y and Z>=X count as complementary";
+        probes = [ Fixtures.guards ];
+      };
+      {
+        name = "cut_after_call";
+        detector = Oracle;
+        description =
+          "cut rule accepts a cut anywhere in the body, even after a \
+           user call that commits the shallow frame first";
+        probes = [ Fixtures.gen_cut ];
+      };
+      {
+        name = "var_head_blind";
+        detector = Answers;
+        description =
+          "declare every switch_on_term variable chain dead regardless \
+           of the call pattern; calls with an unbound first argument \
+           fail instead of enumerating";
+        probes = [ Fixtures.pick ];
+      };
+      {
+        name = "orphan_chain";
+        detector = Lint;
+        description =
+          "emit certified chains headed by det_retry instead of \
+           det_try; wamlint's orphan-chain rule rejects the code";
+        probes = [];
+      };
+    ]
 
 (* The weakened plan for a defect (or the sound plan for [None]). *)
 let plan ?defect ?patterns () =
   match defect with
   | None -> Exclusion.plan ?patterns ()
-  | Some d -> (
+  | Some (d : Benchlib.Driver.defect) -> (
     match d.name with
     | "force_certify" -> Exclusion.plan ~force_certify:true ?patterns ()
     | "guard_operands" -> Exclusion.plan ~sloppy_guards:true ?patterns ()

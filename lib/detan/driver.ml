@@ -26,8 +26,7 @@ type elision = {
 
 type analysis = {
   bench : Benchlib.Programs.benchmark;
-  patterns : Prolog.Abspat.t;
-  transform : Prolog.Database.t -> Prolog.Database.t;
+  front : Benchlib.Driver.front;
   plan : Wam.Compile.det_plan;
   counts : (key * Lattice.t) list;  (** success-count grade per predicate *)
   det_preds : int;  (** predicates graded deterministic (<> Multi) *)
@@ -47,24 +46,8 @@ type analysis = {
   analysis_ms : float;
 }
 
-type pe_run = {
-  n_pes : int;
-  records : int;  (** baseline trace length *)
-  oracle : Oracle.report;
-  answers_equal : bool;
-  base_cp_reads : int;
-  base_cp_writes : int;
-  det_cp_reads : int;
-  det_cp_writes : int;
-  base_trail_reads : int;
-  base_trail_writes : int;
-  det_trail_reads : int;
-  det_trail_writes : int;
-  base_total_refs : int;
-  det_total_refs : int;
-  det_cp_created : int;  (** try executions left in the det build *)
-  det_cp_elided : int;  (** det_try executions (shallow entries) *)
-}
+type pe_run = Oracle.report Benchlib.Driver.pe_run
+(** The oracle replays the base trace; the variant is the det build. *)
 
 type report = {
   a : analysis;
@@ -79,14 +62,8 @@ type report = {
 }
 
 let analyze ?defect (b : Benchlib.Programs.benchmark) =
-  let db = Prolog.Database.of_string b.Benchlib.Programs.src in
-  let summary =
-    Analysis.Analyze.database
-      ~entries:[ Analysis.Analyze.entry_of_string b.Benchlib.Programs.query ]
-      db
-  in
-  let patterns = Analysis.Summary.patterns summary in
-  let transform db = Prolog.Annotate.database ~patterns db in
+  let front = Benchlib.Driver.front b in
+  let { Benchlib.Driver.db; patterns; transform } = front in
   let t0 = Unix.gettimeofday () in
   let plan = Defects.plan ?defect ~patterns () in
   let counts_tbl = Counts.of_database ~patterns (transform db) in
@@ -168,8 +145,7 @@ let analyze ?defect (b : Benchlib.Programs.benchmark) =
   let analysis_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   {
     bench = b;
-    patterns;
-    transform;
+    front;
     plan;
     counts;
     det_preds;
@@ -184,89 +160,40 @@ let analyze ?defect (b : Benchlib.Programs.benchmark) =
     analysis_ms;
   }
 
-let default_pes = [ 1; 4; 8 ]
-
-let run ?defect ?(pes = default_pes) b =
+let run ?defect ?(pes = Benchlib.Driver.default_pes) ?on_pair b =
   let a = analyze ?defect b in
-  let pes = List.sort_uniq compare pes in
-  let area r ar =
-    ( Trace.Areastats.reads r.Benchlib.Runner.area_stats ar,
-      Trace.Areastats.writes r.Benchlib.Runner.area_stats ar )
-  in
   let runs =
-    List.map
-      (fun n_pes ->
-        let base =
-          Benchlib.Runner.run_rapwam ~keep_trace:true ~transform:a.transform
-            ~n_pes b
-        in
-        let det =
-          Benchlib.Runner.run_rapwam ~keep_trace:true ~transform:a.transform
-            ~det:a.plan ~n_pes b
-        in
-        let oracle =
-          Oracle.check ~code:a.base_prog.Wam.Program.code ~chains:a.certified
-            ~dead:a.dead base.Benchlib.Runner.trace
-        in
-        let bcp_r, bcp_w = area base Trace.Area.Choice_point in
-        let dcp_r, dcp_w = area det Trace.Area.Choice_point in
-        let btr_r, btr_w = area base Trace.Area.Trail in
-        let dtr_r, dtr_w = area det Trace.Area.Trail in
-        {
-          n_pes;
-          records = base.Benchlib.Runner.total_refs;
-          oracle;
-          answers_equal = Benchlib.Runner.answers_agree base det;
-          base_cp_reads = bcp_r;
-          base_cp_writes = bcp_w;
-          det_cp_reads = dcp_r;
-          det_cp_writes = dcp_w;
-          base_trail_reads = btr_r;
-          base_trail_writes = btr_w;
-          det_trail_reads = dtr_r;
-          det_trail_writes = dtr_w;
-          base_total_refs = base.Benchlib.Runner.total_refs;
-          det_total_refs = det.Benchlib.Runner.total_refs;
-          det_cp_created = det.Benchlib.Runner.cp_created;
-          det_cp_elided = det.Benchlib.Runner.cp_elided;
-        })
-      pes
+    Benchlib.Driver.paired ?on_pair ~pes
+      ~run:(fun det n_pes ->
+        Benchlib.Runner.run_rapwam ~keep_trace:true
+          ~transform:a.front.Benchlib.Driver.transform
+          ?det:(if det then Some a.plan else None)
+          ~n_pes b)
+      (fun base _ ->
+        Oracle.check ~code:a.base_prog.Wam.Program.code ~chains:a.certified
+          ~dead:a.dead base.Benchlib.Runner.trace)
+  in
+  let drop area better =
+    List.for_all
+      (fun r ->
+        let base, det = Benchlib.Driver.area_refs r area in
+        better det base)
+      runs
   in
   let certified_any = a.certified <> [] || a.dead <> [] in
   {
     a;
     runs;
     oracle_ok =
-      List.for_all (fun r -> r.oracle.Oracle.violations = []) runs;
-    answers_ok = List.for_all (fun r -> r.answers_equal) runs;
+      List.for_all
+        (fun (r : pe_run) -> r.checks.Oracle.violations = [])
+        runs;
+    answers_ok =
+      List.for_all (fun (r : pe_run) -> r.Benchlib.Driver.answers_equal) runs;
     lint_clean = a.lint_diags = [];
-    cp_drop =
-      certified_any
-      && List.for_all
-           (fun r ->
-             r.det_cp_reads + r.det_cp_writes
-             < r.base_cp_reads + r.base_cp_writes)
-           runs;
-    trail_drop =
-      certified_any
-      && List.for_all
-           (fun r ->
-             r.det_trail_reads + r.det_trail_writes
-             <= r.base_trail_reads + r.base_trail_writes)
-           runs;
+    cp_drop = certified_any && drop Trace.Area.Choice_point ( < );
+    trail_drop = certified_any && drop Trace.Area.Trail ( <= );
   }
-
-(* A seeded defect is detected when its designated detector fires on
-   at least one probed program. *)
-let defect_detected ~(defect : Defects.t) reports =
-  let flagged r =
-    match defect.Defects.detector with
-    | "oracle" -> not r.oracle_ok
-    | "answers" -> not r.answers_ok
-    | "lint" -> not r.lint_clean
-    | other -> invalid_arg ("Detan.Driver.defect_detected: " ^ other)
-  in
-  List.exists flagged reports
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                              *)
@@ -297,7 +224,9 @@ let json_of_report r =
      \"cp_drop\": %b, \"trail_drop\": %b, \"runs\": ["
     r.oracle_ok r.answers_ok r.lint_clean r.cp_drop r.trail_drop;
   List.iteri
-    (fun i run ->
+    (fun i (run : pe_run) ->
+      let cp = Benchlib.Driver.area_refs run Trace.Area.Choice_point in
+      let trail = Benchlib.Driver.area_refs run Trace.Area.Trail in
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b
         "{\"pes\": %d, \"records\": %d, \"oracle_violations\": %d, \
@@ -305,18 +234,26 @@ let json_of_report r =
          \"det_cp_refs\": %d, \"base_trail_refs\": %d, \"det_trail_refs\": \
          %d, \"base_total_refs\": %d, \"det_total_refs\": %d, \
          \"det_cp_created\": %d, \"det_cp_elided\": %d}"
-        run.n_pes run.records
-        (List.length run.oracle.Oracle.violations)
-        run.oracle.Oracle.trials run.answers_equal
-        (run.base_cp_reads + run.base_cp_writes)
-        (run.det_cp_reads + run.det_cp_writes)
-        (run.base_trail_reads + run.base_trail_writes)
-        (run.det_trail_reads + run.det_trail_writes)
-        run.base_total_refs run.det_total_refs run.det_cp_created
-        run.det_cp_elided)
+        run.n_pes run.base_total_refs
+        (List.length run.checks.Oracle.violations)
+        run.checks.Oracle.trials run.answers_equal (fst cp) (snd cp)
+        (fst trail) (snd trail) run.base_total_refs run.variant_total_refs
+        run.cp_created run.cp_elided)
     r.runs;
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let json_of_reports rs =
-  "[\n  " ^ String.concat ",\n  " (List.map json_of_report rs) ^ "\n]\n"
+let tool =
+  {
+    Benchlib.Driver.fixtures = Fixtures.all;
+    defects = Defects.all;
+    run = (fun defect pes b -> run ?defect ~pes b);
+    clean = (fun r -> r.oracle_ok && r.answers_ok && r.lint_clean);
+    fires =
+      (fun r -> function
+        | Benchlib.Driver.Oracle -> not r.oracle_ok
+        | Answers -> not r.answers_ok
+        | Lint -> not r.lint_clean
+        | Audit -> false);
+    json_of_report;
+  }

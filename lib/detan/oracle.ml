@@ -11,10 +11,9 @@
    already committed -- det-mode would have discarded the frame at
    that earlier commit and this answer path would not exist.
 
-   Mechanics: instruction fetches are Code-area reads at
-   [Layout.code_base + addr], so the replay maps each fetch back to
-   the instruction index and keeps a per-PE shadow stack of chain
-   instances:
+   Mechanics: Wam.Replay maps each instruction fetch back to its
+   instruction index, and the oracle keeps a per-PE shadow stack of
+   chain instances:
 
    - fetch of a certified chain's try      -> push an instance;
    - fetch of its retry/trust             -> pop instances above the
@@ -94,86 +93,62 @@ let check ~code ~(chains : Wam.Compile.chain_info list)
       if ci.ci_start >= 0 && ci.ci_start < n then
         roles.(ci.ci_start) <- R_dead id)
     dead_arr;
-  let stacks : (int, instance list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack pe =
-    match Hashtbl.find_opt stacks pe with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks pe s;
-      s
-  in
+  let stacks = Wam.Replay.per_pe (fun () -> []) in
   let fetches = ref 0 in
   let trials = ref 0 in
   let violations = ref [] in
-  Trace.Sink.Buffer_sink.iter_entries
-    (function
-      | Trace.Ref_record.Sync _ -> ()
-      | Trace.Ref_record.Access r ->
-        if r.area = Trace.Area.Code && r.op = Trace.Ref_record.Read then begin
-          let idx = r.addr - Wam.Layout.code_base in
-          if idx >= 0 && idx < n then begin
-            incr fetches;
-            let st = stack r.pe in
-            (match roles.(idx) with
-            | R_none -> ()
-            | R_dead id ->
-              let ci = dead_arr.(id) in
-              violations :=
-                {
-                  v_pe = r.pe;
-                  v_pred = ci.ci_pred;
-                  v_bucket = ci.ci_bucket;
-                  v_chain_start = ci.ci_start;
-                  v_addr = idx;
-                }
-                :: !violations
-            | R_entry id ->
-              incr trials;
-              st :=
-                { ic_chain = id; committed = false; zombie = false; trusted = false }
-                :: !st
-            | R_alt (id, last) ->
-              (* unwind shadow instances of deeper, already-forgotten
-                 frames, then re-enter the matching instance *)
-              let rec find = function
-                | [] ->
-                  (* no visible try (frame predates the watched window
-                     or was unwound by a kill): track leniently *)
-                  [ { ic_chain = id; committed = false; zombie = false; trusted = last } ]
-                | inst :: rest when inst.ic_chain = id ->
-                  incr trials;
-                  if inst.committed then inst.zombie <- true;
-                  inst.committed <- false;
-                  if last then inst.trusted <- true;
-                  inst :: rest
-                | _ :: rest -> find rest
-              in
-              st := find !st);
-            if commits.(idx) then begin
-              match !st with
-              | [] -> ()
-              | inst :: rest ->
-                if inst.zombie then begin
-                  let ci = chain_arr.(inst.ic_chain) in
-                  violations :=
-                    {
-                      v_pe = r.pe;
-                      v_pred = ci.ci_pred;
-                      v_bucket = ci.ci_bucket;
-                      v_chain_start = ci.ci_start;
-                      v_addr = idx;
-                    }
-                    :: !violations;
-                  st := rest
-                end
-                else if inst.trusted then st := rest
-                else if not inst.committed then
-                  if neck_cut.(idx) then st := rest else inst.committed <- true
-            end
-          end
-        end)
-    buf;
+  let violate pe (ci : Wam.Compile.chain_info) idx =
+    violations :=
+      {
+        v_pe = pe;
+        v_pred = ci.ci_pred;
+        v_bucket = ci.ci_bucket;
+        v_chain_start = ci.ci_start;
+        v_addr = idx;
+      }
+      :: !violations
+  in
+  let on_fetch (r : Trace.Ref_record.t) idx =
+    incr fetches;
+    let pe = r.pe in
+    (match roles.(idx) with
+    | R_none -> ()
+    | R_dead id -> violate pe dead_arr.(id) idx
+    | R_entry id ->
+      incr trials;
+      stacks.(pe) <-
+        { ic_chain = id; committed = false; zombie = false; trusted = false }
+        :: stacks.(pe)
+    | R_alt (id, last) ->
+      (* unwind shadow instances of deeper, already-forgotten frames,
+         then re-enter the matching instance *)
+      let rec find = function
+        | [] ->
+          (* no visible try (frame predates the watched window or was
+             unwound by a kill): track leniently *)
+          [ { ic_chain = id; committed = false; zombie = false; trusted = last } ]
+        | inst :: rest when inst.ic_chain = id ->
+          incr trials;
+          if inst.committed then inst.zombie <- true;
+          inst.committed <- false;
+          if last then inst.trusted <- true;
+          inst :: rest
+        | _ :: rest -> find rest
+      in
+      stacks.(pe) <- find stacks.(pe));
+    if commits.(idx) then
+      match stacks.(pe) with
+      | [] -> ()
+      | inst :: rest ->
+        if inst.zombie then begin
+          violate pe chain_arr.(inst.ic_chain) idx;
+          stacks.(pe) <- rest
+        end
+        else if inst.trusted then stacks.(pe) <- rest
+        else if not inst.committed then
+          if neck_cut.(idx) then stacks.(pe) <- rest else inst.committed <- true
+  in
+  Wam.Replay.iter (Wam.Replay.create code) ~fetch:on_fetch ~data:ignore buf;
   {
     chains_checked = Array.length chain_arr;
     fetches = !fetches;

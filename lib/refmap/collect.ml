@@ -1,8 +1,8 @@
 (* Dynamic access collection from the tagged reference stream.
 
-   Attribution mirrors Wam.Profile: a Code-area read (instruction
-   fetch) selects the owning predicate as the PE's attribution target
-   and every data reference is charged to it.  Two refinements keep
+   Attribution is Wam.Replay's: a Code-area read (instruction fetch)
+   selects the owning predicate as the PE's attribution target and
+   every data reference is charged to it.  Two refinements keep
    the per-predicate sets honest against the static summaries:
 
      - message processing: a PE drains its message buffer between
@@ -23,7 +23,7 @@
 type obs = { seen : int array (* bit 0 = read, bit 1 = write seen *) }
 
 type t = {
-  static : Static.t;
+  replay : Wam.Replay.t;
   by_fid : (int, obs) Hashtbl.t;
   runtime : obs;
   addrs : (int, int * bool * int) Hashtbl.t;
@@ -31,20 +31,18 @@ type t = {
           address's current incarnation *)
   mutable retired : (int * (int * bool * int)) list;
       (** earlier incarnations, with their address *)
-  mutable in_msg : bool array;  (** per PE: inside a message window *)
-  mutable attrib : int option array;  (** per PE: current fid *)
+  in_msg : bool array;  (** per PE: inside a message window *)
   mutable records : int;
 }
 
-let create static =
+let create (static : Static.t) =
   {
-    static;
+    replay = Wam.Replay.create static.Static.code;
     by_fid = Hashtbl.create 64;
     runtime = { seen = Array.make Trace.Area.count 0 };
     addrs = Hashtbl.create 4096;
     retired = [];
-    in_msg = Array.make (Trace.Ref_record.max_pe + 1) false;
-    attrib = Array.make (Trace.Ref_record.max_pe + 1) None;
+    in_msg = Wam.Replay.per_pe (fun () -> false);
     records = 0;
   }
 
@@ -72,26 +70,19 @@ let on_record t (r : Trace.Ref_record.t) =
   | Some (first, shared, _) ->
     if (not shared) && first <> pe then
       Hashtbl.replace t.addrs addr (first, true, area));
-  if r.Trace.Ref_record.area = Trace.Area.Code then begin
-    t.in_msg.(pe) <- false;
-    t.attrib.(pe) <-
-      Static.owner_fid t.static (r.Trace.Ref_record.addr - Wam.Layout.code_base)
-  end
-  else begin
-    if r.Trace.Ref_record.area = Trace.Area.Message then t.in_msg.(pe) <- true;
+  let charge _ =
+    if r.area = Trace.Area.Message then t.in_msg.(pe) <- true;
     let o =
       if t.in_msg.(pe) then t.runtime
       else
-        match t.attrib.(pe) with
-        | Some fid -> obs_for t fid
+        match Wam.Replay.owner t.replay pe with
+        | Some i -> obs_for t (Wam.Replay.fid t.replay i)
         | None -> t.runtime
     in
-    let k = Trace.Area.to_int r.Trace.Ref_record.area in
-    o.seen.(k) <- o.seen.(k) lor bit r.Trace.Ref_record.op
-  end
-
-let sink t : Trace.Sink.t =
-  { Trace.Sink.emit = on_record t; emit_sync = (fun _ -> ()) }
+    o.seen.(area) <- o.seen.(area) lor bit r.op
+  in
+  Wam.Replay.feed t.replay ~fetch:(fun _ _ -> t.in_msg.(pe) <- false)
+    ~data:charge r
 
 let of_buffer static buf =
   let t = create static in

@@ -8,55 +8,30 @@
    audit must flag the corrupted certifier.  Used by the defect
    fixtures in the test suite and the [refmap --defect] CLI. *)
 
-type defect = {
-  name : string;
-  detector : string;  (** "oracle" or "audit": which check must fire *)
-  description : string;
-}
+let defect name detector description =
+  { Benchlib.Driver.name; detector; description; probes = [] }
 
 let all =
-  [
-    {
-      name = "trail-blind";
-      detector = "oracle";
-      description =
+  Benchlib.Driver.
+    [
+      defect "trail-blind" Oracle
         "summaries forget the trail: binding writes no longer record \
          their undo entries";
-    };
-    {
-      name = "heap-read-only";
-      detector = "oracle";
-      description =
+      defect "heap-read-only" Oracle
         "heap modes capped at read: structure building and bindings \
          invisible to the analysis";
-    };
-    {
-      name = "env-blind";
-      detector = "oracle";
-      description =
+      defect "env-blind" Oracle
         "environment areas erased: permanent variables and frame \
          control words unaccounted";
-    };
-    {
-      name = "choice-blind";
-      detector = "oracle";
-      description =
+      defect "choice-blind" Oracle
         "choice-point area erased: clause selection and failure \
          restore unaccounted";
-    };
-    {
-      name = "force-certify";
-      detector = "audit";
-      description =
+      defect "force-certify" Audit
         "certifier answers yes unconditionally, marking conditional \
          groups static_safe";
-    };
-  ]
+    ]
 
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
-
-let forces_certify name = name = "force-certify"
+let forces_certify (d : Benchlib.Driver.defect) = d.name = "force-certify"
 
 let erase s area = Summary.set s area Mode.Nil
 
@@ -76,10 +51,8 @@ let weaken_summary name s =
 
 (* Damage [static] in place (summaries are mode vectors; the table
    structure is untouched). *)
-let apply name (static : Static.t) =
-  if find name = None then
-    invalid_arg (Printf.sprintf "Refmap.Defects.apply: %s" name);
-  let f = weaken_summary name in
+let apply (d : Benchlib.Driver.defect) (static : Static.t) =
+  let f = weaken_summary d.name in
   Hashtbl.iter
     (fun _ (p : Static.pred) ->
       f p.Static.own;

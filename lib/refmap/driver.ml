@@ -17,8 +17,7 @@
 
 type analysis = {
   bench : Benchlib.Programs.benchmark;
-  patterns : Prolog.Abspat.t;
-  transform : Prolog.Database.t -> Prolog.Database.t;
+  front : Benchlib.Driver.front;
   static : Static.t;
   stats : Prolog.Annotate.stats;
   certify : Certify.report;
@@ -43,15 +42,12 @@ type report = {
 }
 
 let analyze ?defect (b : Benchlib.Programs.benchmark) =
-  let db = Prolog.Database.of_string b.Benchlib.Programs.src in
-  let summary =
-    Analysis.Analyze.database
-      ~entries:[ Analysis.Analyze.entry_of_string b.Benchlib.Programs.query ]
-      db
+  let front = Benchlib.Driver.front b in
+  let patterns = front.Benchlib.Driver.patterns in
+  let prog =
+    Benchlib.Runner.prepare ~parallel:true
+      ~transform:front.Benchlib.Driver.transform b
   in
-  let patterns = Analysis.Summary.patterns summary in
-  let transform db = Prolog.Annotate.database ~patterns db in
-  let prog = Benchlib.Runner.prepare ~parallel:true ~transform b in
   let t0 = Unix.gettimeofday () in
   let static = Static.build ~patterns prog in
   Option.iter (fun d -> Defects.apply d static) defect;
@@ -61,23 +57,21 @@ let analyze ?defect (b : Benchlib.Programs.benchmark) =
     | _ -> Certify.certifier static
   in
   let ann_db, stats =
-    Prolog.Annotate.database_stats ~patterns ~certifier db
+    Prolog.Annotate.database_stats ~patterns ~certifier front.Benchlib.Driver.db
   in
   let certify = Certify.database static ann_db in
   let analysis_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  { bench = b; patterns; transform; static; stats; certify; analysis_ms }
+  { bench = b; front; static; stats; certify; analysis_ms }
 
-let default_pes = [ 1; 4; 8 ]
-
-let run ?defect ?(pes = default_pes) b =
+let run ?defect ?(pes = Benchlib.Driver.default_pes) b =
   let a = analyze ?defect b in
   let pes = List.sort_uniq compare pes in
   let runs_raw =
     List.map
       (fun n_pes ->
         let r =
-          Benchlib.Runner.run_rapwam ~keep_trace:true ~transform:a.transform
-            ~n_pes b
+          Benchlib.Runner.run_rapwam ~keep_trace:true
+            ~transform:a.front.Benchlib.Driver.transform ~n_pes b
         in
         let c = Collect.of_buffer a.static r.Benchlib.Runner.trace in
         let tc = Tracecheck.check_buffer r.Benchlib.Runner.trace in
@@ -109,15 +103,6 @@ let run ?defect ?(pes = default_pes) b =
       (if all_clean then 0
        else a.certify.Certify.total - a.certify.Certify.certified);
   }
-
-(* A seeded defect is detected when its designated detector fires. *)
-let defect_detected ~defect r =
-  match Defects.find defect with
-  | None -> invalid_arg ("unknown defect " ^ defect)
-  | Some d -> (
-    match d.Defects.detector with
-    | "oracle" -> not r.oracle_ok
-    | _ -> not r.audit_ok)
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                              *)
@@ -162,5 +147,16 @@ let json_of_report r =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let json_of_reports rs =
-  "[\n  " ^ String.concat ",\n  " (List.map json_of_report rs) ^ "\n]\n"
+let tool =
+  {
+    Benchlib.Driver.fixtures = [];
+    defects = Defects.all;
+    run = (fun defect pes b -> run ?defect ~pes b);
+    clean = (fun r -> r.oracle_ok && r.audit_ok && r.certified_tracecheck_clean);
+    fires =
+      (fun r -> function
+        | Benchlib.Driver.Oracle -> not r.oracle_ok
+        | Audit -> not r.audit_ok
+        | Answers | Lint -> false);
+    json_of_report;
+  }

@@ -2,7 +2,7 @@
 
    The compiler lays each predicate out contiguously from its entry,
    so its entries partition the code area into ranges (Wam.Code.ranges,
-   the partition Wam.Profile uses for dynamic attribution — keeping the
+   the partition Wam.Replay uses for dynamic attribution — keeping the
    two sides of the oracle aligned).  Each range is scanned with a
    small abstract state (groundness of argument and permanent
    registers, read/write mode of the unification sequence in
@@ -47,7 +47,7 @@ type t = {
   order : int list;  (** fids, callees before callers *)
   parallel : bool;
   symbols : Wam.Symbols.t;
-  ranges : (int * int) array;  (** [Wam.Code.ranges] *)
+  code : Wam.Code.t;  (** the summarized code, for replaying its traces *)
   program : Summary.t;  (** join of every closure *)
   iterations : int;  (** closure passes until the fixpoint *)
 }
@@ -59,9 +59,6 @@ let find t fid = Hashtbl.find_opt t.preds fid
 let find_spec t ~name ~arity =
   let fid = Wam.Symbols.functor_ t.symbols name arity in
   find t fid
-
-let owner_fid t idx =
-  Option.map (fun i -> snd t.ranges.(i)) (Wam.Code.range_of t.ranges idx)
 
 (* ------------------------------------------------------------------ *)
 (* Range analysis.                                                    *)
@@ -335,7 +332,7 @@ let build ?patterns (prog : Wam.Program.t) =
     order;
     parallel;
     symbols;
-    ranges = entries;
+    code;
     program;
     iterations = !iterations;
   }

@@ -11,10 +11,9 @@
    never at the entry, so entry fetches count procedure calls the same
    way the machine's inference counter does).
 
-   Parallel traces interleave PEs; attribution is tracked per PE, so
-   the scheme works unchanged for RAP-WAM runs.  References made by a
-   PE before its first fetch (scheduler activity on an idle PE) land
-   in the [other] bucket. *)
+   The fetch decoding and the per-PE owner tracking are {!Replay}'s;
+   references made by a PE before its first fetch (scheduler activity
+   on an idle PE) land in the [other] bucket. *)
 
 type counters = {
   fid : int;
@@ -31,18 +30,17 @@ type counters = {
 type t = {
   symbols : Symbols.t;
   code : Code.t;  (** for decoding fetched instructions *)
-  ranges : (int * int) array;  (** [Code.ranges] *)
-  owners : counters array;  (** owner of [ranges.(i)] *)
+  replay : Replay.t;
+  owners : counters array;  (** owner of [Replay.ranges] entry [i] *)
   other : int array;  (** data refs with no current predicate *)
-  current : counters option array;  (** per-PE attribution target *)
 }
 
 let create symbols code =
-  let ranges = Code.ranges code in
+  let replay = Replay.create code in
   {
     symbols;
     code;
-    ranges;
+    replay;
     owners =
       Array.map
         (fun (entry, fid) ->
@@ -57,43 +55,33 @@ let create symbols code =
             deref_skipped = 0;
             refs = Array.make Trace.Area.count 0;
           })
-        ranges;
+        (Replay.ranges replay);
     other = Array.make Trace.Area.count 0;
-    current = Array.make (Trace.Ref_record.max_pe + 1) None;
   }
 
-let owner t idx =
-  Option.map (fun i -> t.owners.(i)) (Code.range_of t.ranges idx)
+let on_fetch t (r : Trace.Ref_record.t) idx =
+  match Replay.owner t.replay r.pe with
+  | None -> ()
+  | Some o ->
+    let p = t.owners.(o) in
+    p.instrs <- p.instrs + 1;
+    if idx = p.entry then p.calls <- p.calls + 1;
+    let i = Code.fetch t.code idx in
+    (match i with
+    | Instr.Try (_, false) -> p.cp_created <- p.cp_created + 1
+    | Instr.Try (_, true) -> p.cp_elided <- p.cp_elided + 1
+    | _ -> ());
+    let e = Access.elided i in
+    if e.Access.deref then p.deref_skipped <- p.deref_skipped + 1;
+    if e.Access.trail then p.trail_elided <- p.trail_elided + 1
 
-let on_record t (r : Trace.Ref_record.t) =
-  if r.Trace.Ref_record.area = Trace.Area.Code then begin
-    let idx = r.Trace.Ref_record.addr - Layout.code_base in
-    match owner t idx with
-    | Some p ->
-      t.current.(r.Trace.Ref_record.pe) <- Some p;
-      p.instrs <- p.instrs + 1;
-      if idx = p.entry then p.calls <- p.calls + 1;
-      if idx >= 0 && idx < Code.length t.code then begin
-        let i = Code.fetch t.code idx in
-        (match i with
-        | Instr.Try (_, false) -> p.cp_created <- p.cp_created + 1
-        | Instr.Try (_, true) -> p.cp_elided <- p.cp_elided + 1
-        | _ -> ());
-        let e = Access.elided i in
-        if e.Access.deref then p.deref_skipped <- p.deref_skipped + 1;
-        if e.Access.trail then p.trail_elided <- p.trail_elided + 1
-      end
-    | None -> t.current.(r.Trace.Ref_record.pe) <- None
-  end
-  else begin
-    let k = Trace.Area.to_int r.Trace.Ref_record.area in
-    match t.current.(r.Trace.Ref_record.pe) with
-    | Some p -> p.refs.(k) <- p.refs.(k) + 1
-    | None -> t.other.(k) <- t.other.(k) + 1
-  end
+let on_data t (r : Trace.Ref_record.t) =
+  let k = Trace.Area.to_int r.area in
+  match Replay.owner t.replay r.pe with
+  | Some o -> t.owners.(o).refs.(k) <- t.owners.(o).refs.(k) + 1
+  | None -> t.other.(k) <- t.other.(k) + 1
 
-let sink t : Trace.Sink.t =
-  { Trace.Sink.emit = on_record t; emit_sync = (fun _ -> ()) }
+let sink t = Replay.sink t.replay ~fetch:(on_fetch t) ~data:(on_data t)
 
 let data_refs (c : counters) = Array.fold_left ( + ) 0 c.refs
 let spec t (c : counters) = Symbols.spec_string t.symbols c.fid

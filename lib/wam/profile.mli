@@ -31,9 +31,6 @@ val create : Symbols.t -> Code.t -> t
 val sink : t -> Trace.Sink.t
 (** Feed this sink (tee it with others) during a run. *)
 
-val owner : t -> int -> counters option
-(** Owning predicate of an instruction index, if any. *)
-
 val data_refs : counters -> int
 val spec : t -> counters -> string
 (** ["name/arity"]. *)

@@ -12,12 +12,12 @@ let pes = [ 1; 4; 8 ]
 let trail_refs (r : Bindan.Driver.pe_run) =
   let d =
     List.find
-      (fun (d : Bindan.Driver.area_delta) ->
-        d.Bindan.Driver.ad_area = Trace.Area.Trail)
-      r.Bindan.Driver.areas
+      (fun (d : Benchlib.Driver.area_delta) ->
+        d.Benchlib.Driver.ad_area = Trace.Area.Trail)
+      r.Benchlib.Driver.areas
   in
-  ( d.Bindan.Driver.ad_base_reads + d.Bindan.Driver.ad_base_writes,
-    d.Bindan.Driver.ad_bind_reads + d.Bindan.Driver.ad_bind_writes )
+  ( d.Benchlib.Driver.ad_base_reads + d.Benchlib.Driver.ad_base_writes,
+    d.Benchlib.Driver.ad_variant_reads + d.Benchlib.Driver.ad_variant_writes )
 
 (* The acceptance triple: deriv, qsort and tak must run bind-certified
    with bit-identical answers, a clean oracle/tracecheck/lint, and
@@ -39,11 +39,11 @@ let test_clean_and_trail_drop () =
           let base, bind = trail_refs run in
           if base <= bind then
             Alcotest.failf "%s @%dpe: trail %d -> %d (no drop)" name
-              run.Bindan.Driver.n_pes base bind;
+              run.Benchlib.Driver.n_pes base bind;
           Alcotest.(check bool)
             (name ^ " trail elided > 0")
             true
-            (run.Bindan.Driver.trail_elided > 0))
+            (run.Benchlib.Driver.trail_elided > 0))
         r.Bindan.Driver.runs)
     [ "deriv"; "qsort"; "tak" ]
 
@@ -58,7 +58,7 @@ let test_deref_skipped () =
           Alcotest.(check bool)
             (name ^ " deref skipped > 0")
             true
-            (run.Bindan.Driver.deref_skipped > 0))
+            (run.Benchlib.Driver.deref_skipped > 0))
         r.Bindan.Driver.runs)
     [ "deriv"; "qsort" ]
 
@@ -69,10 +69,11 @@ let test_oracle_replays_windows () =
     (fun (run : Bindan.Driver.pe_run) ->
       Alcotest.(check bool)
         "sites found" true
-        (run.Bindan.Driver.oracle.Bindan.Oracle.sites_checked > 0);
+        (run.Benchlib.Driver.checks.Bindan.Driver.oracle.Bindan.Oracle.sites_checked
+         > 0);
       Alcotest.(check bool)
         "windows replayed" true
-        (run.Bindan.Driver.oracle.Bindan.Oracle.windows > 0))
+        (run.Benchlib.Driver.checks.Bindan.Driver.oracle.Bindan.Oracle.windows > 0))
     r.Bindan.Driver.runs
 
 (* Certificates the analysis must derive (and refuse) on the paper's
@@ -123,19 +124,20 @@ let test_facts_json () =
    its probe set. *)
 let test_defects_detected () =
   List.iter
-    (fun (d : Bindan.Defects.t) ->
+    (fun (d : Benchlib.Driver.defect) ->
       let probes =
-        match d.Bindan.Defects.name with
+        match d.Benchlib.Driver.name with
         | "force_uninit" | "uninit_escape" -> [ quick "qsort" ]
         | "nt_wrong_builtin" -> [ quick "tak" ]
-        | _ -> d.Bindan.Defects.probes
+        | _ -> d.Benchlib.Driver.probes
       in
       let reports =
         List.map (fun b -> Bindan.Driver.run ~defect:d ~pes:[ 1 ] b) probes
       in
-      if not (Bindan.Driver.defect_detected ~defect:d reports) then
+      if not (Benchlib.Driver.detected Bindan.Driver.tool d reports) then
         Alcotest.failf "seeded defect %s escaped detection (%s)"
-          d.Bindan.Defects.name d.Bindan.Defects.detector)
+          d.Benchlib.Driver.name
+          (Benchlib.Driver.detector_name d.Benchlib.Driver.detector))
     Bindan.Defects.all
 
 (* The sound analysis must stay quiet on the defect fixtures too. *)

@@ -37,6 +37,11 @@ let run_capture cmd =
 
 let is_digit c = c >= '0' && c <= '9'
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* The integer immediately before [marker] in [out]. *)
 let int_before out marker =
   let n = String.length out and m = String.length marker in
@@ -104,11 +109,6 @@ let parity_check name =
     (name ^ ": repl --time inferences = rapwam_run --profile")
     direct_inf repl_inf;
   (* both front ends print the same per-predicate profile table *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) (name ^ ": repl prints a profile") true
     (contains repl "calls");
   Alcotest.(check bool) (name ^ ": rapwam_run prints a profile") true
@@ -133,11 +133,6 @@ let run_expect_failure cmd =
   (status, Buffer.contents b)
 
 let test_serve_rejects_duplicate_faults () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   match
     run_expect_failure
       (Printf.sprintf
@@ -153,6 +148,25 @@ let test_serve_rejects_duplicate_faults () =
       (contains out "sim-step")
   | _, out -> Alcotest.failf "serve did not exit normally:\n%s" out
 
+(* The analysis CLIs' exit contract, which CI's `!`-negated defect
+   loops rely on: 0 on a clean run, 1 when a seeded defect is
+   detected, and a detected defect never reported as escaped. *)
+let exit_contract tool defect () =
+  let exe = Filename.quote (bin (tool ^ ".exe")) in
+  (match run_expect_failure (exe ^ " --bench tak --quick --pes 4") with
+  | Unix.WEXITED 0, _ -> ()
+  | _, out -> Alcotest.failf "%s clean run did not exit 0:\n%s" tool out);
+  match
+    run_expect_failure (exe ^ " --quick --pes 4 --defect " ^ defect)
+  with
+  | Unix.WEXITED 1, out ->
+    Alcotest.(check bool)
+      (tool ^ " --defect " ^ defect ^ ": nothing escaped")
+      false
+      (contains out "escaped detection")
+  | _, out ->
+    Alcotest.failf "%s --defect %s did not exit 1:\n%s" tool defect out
+
 let suite =
   [
     Alcotest.test_case "repl/rapwam_run agree on deriv" `Quick
@@ -161,4 +175,10 @@ let suite =
       test_parity_qsort;
     Alcotest.test_case "serve rejects duplicate --faults entries" `Quick
       test_serve_rejects_duplicate_faults;
+    Alcotest.test_case "refmap exit contract" `Quick
+      (exit_contract "refmap" "force-certify");
+    Alcotest.test_case "detan exit contract" `Quick
+      (exit_contract "detan" "orphan_chain");
+    Alcotest.test_case "bindan exit contract" `Quick
+      (exit_contract "bindan" "nt_wrong_builtin");
   ]

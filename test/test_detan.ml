@@ -177,7 +177,7 @@ let test_oracle_and_answers () =
       let r = report name in
       Alcotest.(check (list int))
         (name ^ " PE counts") [ 1; 4; 8 ]
-        (List.map (fun (p : Detan.Driver.pe_run) -> p.Detan.Driver.n_pes)
+        (List.map (fun (p : Detan.Driver.pe_run) -> p.Benchlib.Driver.n_pes)
            r.Detan.Driver.runs);
       Alcotest.(check bool) (name ^ " oracle_ok") true r.Detan.Driver.oracle_ok;
       Alcotest.(check bool) (name ^ " answers_ok") true r.Detan.Driver.answers_ok;
@@ -194,15 +194,17 @@ let test_cp_refs_drop () =
       Alcotest.(check bool) (name ^ " trail_drop") true r.Detan.Driver.trail_drop;
       List.iter
         (fun (p : Detan.Driver.pe_run) ->
+          let base_cp, det_cp =
+            Benchlib.Driver.area_refs p Trace.Area.Choice_point
+          in
           Alcotest.(check bool)
-            (Printf.sprintf "%s@%dPE cp strictly lower" name p.Detan.Driver.n_pes)
+            (Printf.sprintf "%s@%dPE cp strictly lower" name p.Benchlib.Driver.n_pes)
             true
-            (p.Detan.Driver.det_cp_reads + p.Detan.Driver.det_cp_writes
-            < p.Detan.Driver.base_cp_reads + p.Detan.Driver.base_cp_writes);
+            (det_cp < base_cp);
           Alcotest.(check bool)
-            (Printf.sprintf "%s@%dPE something elided" name p.Detan.Driver.n_pes)
+            (Printf.sprintf "%s@%dPE something elided" name p.Benchlib.Driver.n_pes)
             true
-            (p.Detan.Driver.det_cp_elided > 0))
+            (p.Benchlib.Driver.cp_elided > 0))
         r.Detan.Driver.runs)
     [ "deriv"; "tak"; "qsort" ]
 
@@ -329,10 +331,12 @@ let test_parcall_failure_recovery () =
   List.iter
     (fun n_pes ->
       let base =
-        Benchlib.Runner.run_rapwam ~transform:a.Detan.Driver.transform ~n_pes b
+        Benchlib.Runner.run_rapwam
+          ~transform:a.Detan.Driver.front.Benchlib.Driver.transform ~n_pes b
       in
       let det =
-        Benchlib.Runner.run_rapwam ~transform:a.Detan.Driver.transform
+        Benchlib.Runner.run_rapwam
+          ~transform:a.Detan.Driver.front.Benchlib.Driver.transform
           ~det:a.Detan.Driver.plan ~n_pes b
       in
       Alcotest.(check bool)
@@ -351,28 +355,29 @@ let test_parcall_failure_recovery () =
 
 (* ---- seeded defects ---- *)
 
-let defect_bench (d : Detan.Defects.t) =
-  match d.Detan.Defects.probes with
+let defect_bench (d : Benchlib.Driver.defect) =
+  match d.Benchlib.Driver.probes with
   | probe :: _ -> probe
   | [] -> small "deriv"
 
 let test_defects_detected () =
   List.iter
-    (fun (d : Detan.Defects.t) ->
+    (fun (d : Benchlib.Driver.defect) ->
       let r = Detan.Driver.run ~defect:d ~pes:[ 4 ] (defect_bench d) in
       Alcotest.(check bool)
-        (d.Detan.Defects.name ^ " detected by " ^ d.Detan.Defects.detector)
+        (d.Benchlib.Driver.name ^ " detected by "
+        ^ Benchlib.Driver.detector_name d.Benchlib.Driver.detector)
         true
-        (Detan.Driver.defect_detected ~defect:d [ r ]))
+        (Benchlib.Driver.detected Detan.Driver.tool d [ r ]))
     Detan.Defects.all
 
 let test_clean_runs_not_flagged () =
   List.iter
-    (fun (d : Detan.Defects.t) ->
+    (fun (d : Benchlib.Driver.defect) ->
       let reports = List.map report bench_names in
-      Alcotest.(check bool) (d.Detan.Defects.name ^ " silent on clean runs")
+      Alcotest.(check bool) (d.Benchlib.Driver.name ^ " silent on clean runs")
         false
-        (Detan.Driver.defect_detected ~defect:d reports))
+        (Benchlib.Driver.detected Detan.Driver.tool d reports))
     Detan.Defects.all
 
 (* ---- annotator det-arms stat ---- *)
@@ -386,7 +391,8 @@ let test_det_arms_stat () =
   let b = small "deriv" in
   let db = Prolog.Database.of_string b.Benchlib.Programs.src in
   let _, stats =
-    Prolog.Annotate.database_stats ~patterns:a.Detan.Driver.patterns
+    Prolog.Annotate.database_stats
+      ~patterns:a.Detan.Driver.front.Benchlib.Driver.patterns
       ~determinacy:(fun _ -> false)
       db
   in

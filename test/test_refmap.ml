@@ -202,18 +202,23 @@ let defect_bench name = if name = "force-certify" then "matrix" else "qsort"
 
 let test_defects_detected () =
   List.iter
-    (fun (d : Refmap.Defects.defect) ->
-      let name = d.Refmap.Defects.name in
+    (fun (d : Benchlib.Driver.defect) ->
+      let name = d.Benchlib.Driver.name in
       let r =
-        Refmap.Driver.run ~defect:name ~pes:[ 4 ] (small (defect_bench name))
+        Refmap.Driver.run ~defect:d ~pes:[ 4 ] (small (defect_bench name))
       in
       Alcotest.(check bool) (name ^ " detected") true
-        (Refmap.Driver.defect_detected ~defect:name r))
+        (Benchlib.Driver.detected Refmap.Driver.tool d [ r ]))
     Refmap.Defects.all
 
 let test_defect_diagnostics () =
   (* oracle violations carry predicate/area/mode detail *)
-  let r = Refmap.Driver.run ~defect:"trail-blind" ~pes:[ 4 ] (small "qsort") in
+  let defect =
+    List.find
+      (fun (d : Benchlib.Driver.defect) -> d.Benchlib.Driver.name = "trail-blind")
+      Refmap.Defects.all
+  in
+  let r = Refmap.Driver.run ~defect ~pes:[ 4 ] (small "qsort") in
   let vs =
     List.concat_map
       (fun (p : Refmap.Driver.pe_run) -> p.Refmap.Driver.violations)
@@ -232,11 +237,11 @@ let test_defect_diagnostics () =
 
 let test_clean_run_not_flagged () =
   List.iter
-    (fun (d : Refmap.Defects.defect) ->
-      let name = d.Refmap.Defects.name in
+    (fun (d : Benchlib.Driver.defect) ->
+      let name = d.Benchlib.Driver.name in
       let r = report (defect_bench name) in
       Alcotest.(check bool) (name ^ " silent on clean run") false
-        (Refmap.Driver.defect_detected ~defect:name r))
+        (Benchlib.Driver.detected Refmap.Driver.tool d [ r ]))
     Refmap.Defects.all
 
 (* ---- static tables ---- *)

@@ -232,6 +232,78 @@ let test_all_solutions_bindings_independent () =
   Alcotest.(check (list string)) "terms" [ "f(1)"; "g(2)" ]
     (List.map (fun b -> Prolog.Pretty.to_string (List.assoc "T" b)) solutions)
 
+(* Code-range replay over a hand-built buffer: two PEs interleave
+   their fetches, a sync event sits in the stream, and PE 1 touches the
+   heap before it has fetched anything. *)
+let test_replay_attribution () =
+  let prog =
+    Wam.Program.prepare ~parallel:false ~src:"p(X) :- q(X).\nq(a).\n"
+      ~query:"p(A)" ()
+  in
+  let code = prog.Wam.Program.code and symbols = prog.Wam.Program.symbols in
+  let fid name = Wam.Symbols.functor_ symbols name 1 in
+  let entry name = Option.get (Wam.Code.entry code (fid name)) in
+  let replay = Wam.Replay.create code in
+  let p_entry = entry "p" and q_body = entry "q" + 1 in
+  Alcotest.(check (option int)) "q's second instruction is q's"
+    (Some (fid "q"))
+    (Option.map (Wam.Replay.fid replay) (Wam.Replay.range_of replay q_body));
+  let buf = Trace.Sink.Buffer_sink.create () in
+  let sink = Trace.Sink.Buffer_sink.sink buf in
+  let access pe addr area op =
+    Trace.Sink.emit sink { Trace.Ref_record.pe; addr; area; op }
+  in
+  let fetch pe idx =
+    access pe (Wam.Code.trace_addr idx) Trace.Area.Code Trace.Ref_record.Read
+  in
+  let heap = Wam.Layout.heap_base 0 in
+  access 1 heap Trace.Area.Heap Trace.Ref_record.Read;
+  fetch 0 p_entry;
+  fetch 1 q_body;
+  Trace.Sink.emit_sync sink
+    { Trace.Ref_record.spe = 0; saddr = heap; kind = Trace.Ref_record.Publish };
+  access 0 heap Trace.Area.Heap Trace.Ref_record.Write;
+  access 1 (heap + 1) Trace.Area.Heap Trace.Ref_record.Read;
+  let fetches = ref [] and data = ref [] in
+  Wam.Replay.iter replay
+    ~fetch:(fun r idx -> fetches := (r.Trace.Ref_record.pe, idx) :: !fetches)
+    ~data:(fun r ->
+      let pe = r.Trace.Ref_record.pe in
+      data :=
+        (pe, Option.map (Wam.Replay.fid replay) (Wam.Replay.owner replay pe))
+        :: !data)
+    buf;
+  Alcotest.(check (list (pair int int))) "fetches decoded"
+    [ (0, p_entry); (1, q_body) ]
+    (List.rev !fetches);
+  Alcotest.(check (list (pair int (option int))))
+    "data charged to the PE's own last fetch; none before it"
+    [ (1, None); (0, Some (fid "p")); (1, Some (fid "q")) ]
+    (List.rev !data);
+  (* the profile over the same stream, sync entry included *)
+  let prof = Wam.Profile.create symbols code in
+  let psink = Wam.Profile.sink prof in
+  Trace.Sink.Buffer_sink.iter_entries
+    (function
+      | Trace.Ref_record.Access r -> Trace.Sink.emit psink r
+      | Trace.Ref_record.Sync s -> Trace.Sink.emit_sync psink s)
+    buf;
+  let row name =
+    List.find
+      (fun c -> Wam.Profile.spec prof c = name ^ "/1")
+      (Wam.Profile.ranked prof)
+  in
+  Alcotest.(check (pair int int)) "p: entry fetch is a call, one ref"
+    (1, 1)
+    ((row "p").Wam.Profile.calls, Wam.Profile.data_refs (row "p"));
+  Alcotest.(check (pair int int)) "q: mid-range fetch is no call, one ref"
+    (0, 1)
+    ((row "q").Wam.Profile.calls, Wam.Profile.data_refs (row "q"));
+  Alcotest.(check int) "the pre-fetch ref is charged to no predicate" 2
+    (List.fold_left
+       (fun n c -> n + Wam.Profile.data_refs c)
+       0 (Wam.Profile.ranked prof))
+
 let suite =
   [
     Alcotest.test_case "facts" `Quick test_facts;
@@ -260,4 +332,5 @@ let suite =
     Alcotest.test_case "all solutions member" `Quick test_all_solutions_member;
     Alcotest.test_case "solutions independent" `Quick
       test_all_solutions_bindings_independent;
+    Alcotest.test_case "replay attribution" `Quick test_replay_attribution;
   ]
